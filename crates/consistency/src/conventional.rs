@@ -1,6 +1,6 @@
 //! The conventional SC / TSO / RMO retirement engines.
 
-use ifence_cpu::{OrderingEngine, RetireCtx, RetireOutcome};
+use ifence_cpu::{CoreMem, OrderingEngine, RetireCtx, RetireOutcome};
 use ifence_types::{Addr, ConsistencyModel, Cycle, InstrKind, StallReason};
 
 /// A conventional, non-speculative implementation of one consistency model
@@ -100,10 +100,10 @@ impl OrderingEngine for ConventionalEngine {
         }
     }
 
-    fn next_unbatchable_event(&self, _now: Cycle) -> Option<Cycle> {
+    fn tick_due(&self, _mem: &CoreMem, _now: Cycle) -> bool {
         // Conventional engines never speculate, keep no timers and have a
         // no-op tick, so their maintenance stage is dead on every cycle.
-        None
+        false
     }
 
     fn leap_transparent(&self) -> bool {

@@ -366,16 +366,14 @@ impl OrderingEngine for AsoEngine {
         self.committing_until.filter(|&until| until > now)
     }
 
-    fn next_unbatchable_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.checkpoints.is_empty() && self.committing_until.is_none() {
-            // No atomic sequence in flight and no commit drain pending:
-            // `tick` is a no-op and no timer is set. A retirement that opens
-            // a checkpoint runs through `try_retire` on the batched path
-            // too, and re-arms this gate for the following cycle.
-            None
-        } else {
-            Some(now)
-        }
+    fn tick_due(&self, mem: &CoreMem, now: Cycle) -> bool {
+        // `tick` acts in exactly two cases: the commit drain's end has come
+        // (it clears the timer), or an atomic sequence is in flight and its
+        // store misses have all completed (it commits). A retirement that
+        // opens a checkpoint runs through `try_retire` on the batched path
+        // too, and this gate sees the new sequence from the next cycle on.
+        self.committing_until.is_some_and(|until| now >= until)
+            || (self.speculating_now() && mem.sb_empty())
     }
 
     fn leap_transparent(&self) -> bool {
@@ -546,5 +544,31 @@ mod tests {
         assert!(core.retired_count() < retired_before);
         assert!(core.speculating(), "the older checkpoint survives");
         assert!(core.stats().counters.speculations_aborted >= 1);
+    }
+
+    #[test]
+    fn tick_due_at_commit_drain_deadline() {
+        let machine = cfg();
+        let mut mem = CoreMem::new(CoreId(0), &machine);
+        let mut stats = CoreStats::new();
+        let now = 100;
+        for (until, due) in [(now - 1, true), (now, true), (now + 1, false)] {
+            let mut engine = AsoEngine::new(ConsistencyModel::Sc, &machine);
+            engine.committing_until = Some(until);
+            assert_eq!(engine.tick_due(&mem, now), due, "drain ending at {until}");
+            assert!(engine.tick(&mut mem, &mut stats, now).is_empty());
+            assert_eq!(engine.committing(), !due, "tick clears the timer exactly when due");
+        }
+        // An in-flight sequence becomes due when its store misses complete.
+        let mut engine = AsoEngine::new(ConsistencyModel::Sc, &machine);
+        engine.checkpoints.push(AsoCheckpoint::default());
+        mem.sb.push(Addr::new(0x3000), 1, Some(0)).unwrap();
+        assert!(!engine.tick_due(&mem, now));
+        engine.tick(&mut mem, &mut stats, now);
+        assert!(engine.speculating());
+        mem.sb.flash_invalidate_exact(0);
+        assert!(engine.tick_due(&mem, now));
+        engine.tick(&mut mem, &mut stats, now);
+        assert!(!engine.speculating());
     }
 }

@@ -64,6 +64,12 @@ impl InvisiContinuousEngine {
         self.commit_on_violate
     }
 
+    /// True if the youngest chunk holds at least `min_chunk` instructions —
+    /// the size at which a lone chunk commits as soon as it drains.
+    fn lone_chunk_full(&self) -> bool {
+        self.kernel.youngest().is_some_and(|e| e.retired >= self.min_chunk)
+    }
+
     fn abort(&mut self, position: usize, mem: &mut CoreMem, stats: &mut CoreStats) -> usize {
         let resume = self.kernel.abort_from(position, mem, stats);
         self.pending_reads.clear();
@@ -165,9 +171,7 @@ impl OrderingEngine for InvisiContinuousEngine {
         while self.kernel.try_commit_oldest(mem, stats, true) {}
         // If only one (large enough) chunk is open and everything has drained,
         // commit it too so chunks do not grow without bound.
-        if self.kernel.episode_count() == 1
-            && self.kernel.youngest().map(|e| e.retired).unwrap_or(0) >= self.min_chunk
-        {
+        if self.kernel.episode_count() == 1 && self.lone_chunk_full() {
             self.kernel.try_commit_oldest(mem, stats, false);
         }
         Vec::new()
@@ -265,14 +269,14 @@ impl OrderingEngine for InvisiContinuousEngine {
         self.kernel.record_cycles(class, cycles, stats);
     }
 
-    fn next_unbatchable_event(&self, now: Cycle) -> Option<Cycle> {
-        // Continuous mode's tick is live on essentially every cycle: the
-        // pipelined chunk-commit loop must keep probing whether the oldest
-        // chunk has closed and drained, and the lone-chunk bound commits a
-        // big-enough open chunk as soon as its stores drain. There is no
-        // cheap state to prove the window dead, so keep the conservative
-        // default explicitly.
-        Some(now)
+    fn tick_due(&self, mem: &CoreMem, _now: Cycle) -> bool {
+        // Both of `tick`'s commits need the oldest chunk commit-ready; the
+        // pipelined one additionally needs a successor chunk open, the
+        // lone-chunk one a chunk of at least `min_chunk` instructions.
+        // Everything else about a chunk — growing, closing, opening its
+        // successor — happens in `try_retire`, which the batched path runs.
+        self.kernel.commit_ready(mem)
+            && (self.kernel.episode_count() >= 2 || self.lone_chunk_full())
     }
 
     fn finalize(&mut self, mem: &mut CoreMem, stats: &mut CoreStats) {
@@ -281,9 +285,9 @@ impl OrderingEngine for InvisiContinuousEngine {
 
     fn leap_transparent(&self) -> bool {
         // Speculative: cycles are buffered provisionally per episode, the
-        // tick is live, and epochs gate the store-buffer drain. The leap
-        // contract cannot hold; continuous-mode cores keep the per-cycle
-        // batched path.
+        // tick acts on commit cycles, and epochs gate the store-buffer
+        // drain. The leap contract cannot hold; continuous-mode cores keep
+        // the per-cycle batched path.
         false
     }
 }
@@ -475,5 +479,47 @@ mod tests {
         assert!(acked);
         assert_eq!(core.stats().counters.speculations_aborted, 0);
         assert!(core.stats().counters.cov_commits >= 1);
+    }
+
+    fn retire_op(
+        engine: &mut InvisiContinuousEngine,
+        mem: &mut CoreMem,
+        stats: &mut CoreStats,
+        index: usize,
+    ) {
+        let entry = ifence_cpu::RobEntry {
+            program_index: index,
+            dispatch_id: index as u64,
+            instr: Instruction::op(1),
+            block: None,
+            performed_read: false,
+            bound_at_head: true,
+            loaded_value: None,
+        };
+        let mut ctx = RetireCtx { mem, stats, now: 0, entry: &entry };
+        assert_eq!(engine.try_retire(&mut ctx), RetireOutcome::Retired);
+    }
+
+    #[test]
+    fn tick_due_lone_chunk_at_min_chunk_boundary() {
+        let machine = cfg(false);
+        let min_chunk = machine.speculation.min_chunk_instructions;
+        let mut engine = InvisiContinuousEngine::new(&machine);
+        let mut mem = CoreMem::new(CoreId(0), &machine);
+        let mut stats = CoreStats::new();
+        for index in 0..min_chunk - 1 {
+            retire_op(&mut engine, &mut mem, &mut stats, index);
+        }
+        assert_eq!(engine.kernel().episode_count(), 1);
+        // One short of `min_chunk`: drained, but too small to commit alone.
+        assert!(!engine.tick_due(&mem, 0));
+        assert!(engine.tick(&mut mem, &mut stats, 0).is_empty());
+        assert!(engine.speculating());
+        retire_op(&mut engine, &mut mem, &mut stats, min_chunk - 1);
+        assert_eq!(engine.kernel().youngest().unwrap().retired, min_chunk);
+        assert!(engine.tick_due(&mem, 0));
+        assert!(engine.tick(&mut mem, &mut stats, 0).is_empty());
+        assert!(!engine.speculating(), "the full lone chunk committed");
+        assert_eq!(stats.counters.speculations_committed, 1);
     }
 }

@@ -184,11 +184,23 @@ impl SpeculationKernel {
         })
     }
 
-    /// Commits the oldest episode if its ordering requirements are satisfied:
-    /// every store that precedes it (non-speculative entries) and every store
-    /// it made (its epoch's entries) has drained into the L1. When
-    /// `require_closed` is set the episode additionally must not be the
-    /// youngest (used by continuous chunks, which commit only once a
+    /// True if the oldest episode's ordering requirements are satisfied:
+    /// an episode is open, and every store that precedes it (non-speculative
+    /// entries) and every store it made (its epoch's entries) has drained
+    /// into the L1. Younger episodes' entries do not block it. This is the
+    /// single commit condition — [`SpeculationKernel::try_commit_oldest`]
+    /// acts on it and the engines' `tick_due` gates report it, so the two
+    /// cannot drift apart.
+    pub fn commit_ready(&self, mem: &CoreMem) -> bool {
+        let Some(oldest) = self.episodes.first() else {
+            return false;
+        };
+        mem.sb.epoch_len(None) == 0 && mem.sb.epoch_len(Some(oldest.slot as u8)) == 0
+    }
+
+    /// Commits the oldest episode if [`SpeculationKernel::commit_ready`]
+    /// holds. When `require_closed` is set the episode additionally must not
+    /// be the youngest (used by continuous chunks, which commit only once a
     /// successor chunk has opened). Returns true if a commit happened.
     pub fn try_commit_oldest(
         &mut self,
@@ -196,16 +208,13 @@ impl SpeculationKernel {
         stats: &mut CoreStats,
         require_closed: bool,
     ) -> bool {
-        let Some(oldest) = self.episodes.first().copied() else {
-            return false;
-        };
         if require_closed && self.episodes.len() < 2 {
             return false;
         }
-        if mem.sb.epoch_len(None) != 0 || mem.sb.epoch_len(Some(oldest.slot as u8)) != 0 {
+        if !self.commit_ready(mem) {
             return false;
         }
-        self.episodes.remove(0);
+        let oldest = self.episodes.remove(0);
         mem.l1.flash_clear_epoch(oldest.slot);
         self.prov[oldest.slot].commit_into(&mut stats.breakdown);
         stats.counters.speculations_committed += 1;

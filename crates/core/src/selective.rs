@@ -298,26 +298,23 @@ impl OrderingEngine for InvisiSelectiveEngine {
         self.kernel.record_cycles(class, cycles, stats);
     }
 
-    fn next_unbatchable_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.kernel.speculating() {
-            // An open episode means tick's opportunistic commit, violation
-            // windows and provisional accounting are all live.
-            Some(now)
-        } else {
-            // Without an episode `tick` is a no-op (try_commit_oldest bails
-            // immediately) and there are no timers. Retirements — including
-            // a fence or load that *starts* an episode — run through
-            // `try_retire` on the batched path too, so they need no term
-            // here; the moment an episode opens, this gate goes live again.
-            None
-        }
+    fn tick_due(&self, mem: &CoreMem, _now: Cycle) -> bool {
+        // `tick` only ever commits, and its first `try_commit_oldest` acts
+        // exactly when the oldest episode is commit-ready. Outside an
+        // episode that is false (no timers either); inside one it stays
+        // false until the stores the episode depends on have drained, so
+        // every speculating cycle but the commit cycle takes the batched
+        // path. Retirements — including one that *starts* an episode — run
+        // through `try_retire` on the batched path too, so they need no
+        // term here.
+        self.kernel.commit_ready(mem)
     }
 
     fn leap_transparent(&self) -> bool {
         // Speculative: episodes buffer cycles provisionally and gate the
         // store-buffer drain, so the leap contract's "always" clauses cannot
         // hold even between episodes. Selective cores keep the per-cycle
-        // batched path (whose gate already tracks episode liveness).
+        // batched path (whose gate tracks commit readiness).
         false
     }
 
@@ -772,5 +769,97 @@ mod tests {
         run_with_autofill(&mut core, 2000, 60);
         assert!(core.finished());
         assert_eq!(core.stats().counters.speculations_committed, 2);
+    }
+
+    fn gate_engine(checkpoints: usize) -> (InvisiSelectiveEngine, CoreMem, CoreStats) {
+        let engine = InvisiSelectiveEngine::with_checkpoints(ConsistencyModel::Sc, checkpoints);
+        (engine, CoreMem::new(CoreId(0), &cfg(ConsistencyModel::Sc)), CoreStats::new())
+    }
+
+    /// Asserts the batching gate's answer, then that `tick` commits exactly
+    /// when the gate said it could act.
+    fn assert_gate(
+        engine: &mut InvisiSelectiveEngine,
+        mem: &mut CoreMem,
+        stats: &mut CoreStats,
+        due: bool,
+    ) {
+        assert_eq!(engine.tick_due(mem, 0), due);
+        let committed = stats.counters.speculations_committed;
+        assert!(engine.tick(mem, stats, 0).is_empty());
+        assert_eq!(stats.counters.speculations_committed > committed, due);
+    }
+
+    #[test]
+    fn tick_due_ignores_younger_epoch_entries() {
+        let (mut engine, mut mem, mut stats) = gate_engine(1);
+        assert_gate(&mut engine, &mut mem, &mut stats, false);
+        engine.kernel.begin(0, &mut stats).unwrap();
+        assert_gate(&mut engine, &mut mem, &mut stats, true);
+
+        let (mut engine, mut mem, mut stats) = gate_engine(2);
+        engine.kernel.begin(0, &mut stats).unwrap();
+        let young = engine.kernel.begin(5, &mut stats).unwrap() as u8;
+        mem.sb.push(Addr::new(0x3000), 1, Some(young)).unwrap();
+        assert_gate(&mut engine, &mut mem, &mut stats, true);
+        assert_eq!(engine.kernel.episode_count(), 1, "only the older episode committed");
+        // The survivor is now the oldest, and its own entry holds it back.
+        assert_gate(&mut engine, &mut mem, &mut stats, false);
+    }
+
+    #[test]
+    fn tick_due_blocked_by_non_speculative_and_oldest_epoch_entries() {
+        let (mut engine, mut mem, mut stats) = gate_engine(1);
+        mem.sb.push(Addr::new(0x3000), 1, None).unwrap();
+        engine.kernel.begin(0, &mut stats).unwrap();
+        assert_gate(&mut engine, &mut mem, &mut stats, false);
+
+        let (mut engine, mut mem, mut stats) = gate_engine(2);
+        let old = engine.kernel.begin(0, &mut stats).unwrap() as u8;
+        engine.kernel.begin(5, &mut stats).unwrap();
+        mem.sb.push(Addr::new(0x3000), 1, Some(old)).unwrap();
+        assert_gate(&mut engine, &mut mem, &mut stats, false);
+        assert_eq!(engine.kernel.episode_count(), 2);
+    }
+
+    #[test]
+    fn speculating_cycles_take_the_batched_path_until_commit_is_due() {
+        let mut program = Program::new();
+        program.push(Instruction::store(Addr::new(0x9000), 1)); // miss
+        program.push(Instruction::fence()); // RMO trigger behind the miss
+        program.push(Instruction::load(Addr::new(0x1000)));
+        program.push(Instruction::op(200)); // keeps the core from finishing
+        let mut core = core_with(ConsistencyModel::Rmo, program);
+        prefill(&mut core, &[0x1000], LineState::Exclusive);
+        let mut now = 0;
+        while !core.speculating() {
+            core.step(now);
+            core.take_requests();
+            now += 1;
+            assert!(now < 100, "the fence never triggered speculation");
+        }
+        // The store the episode depends on is still buffered: no commit can
+        // happen, so the speculating core is admitted to the fast path.
+        assert!(core.fast_cycle(now).is_some());
+        now += 1;
+        core.handle_delivery(
+            Delivery::Fill {
+                core: CoreId(0),
+                block: blk(0x9000),
+                state: LineState::Exclusive,
+                data: BlockData::zeroed(),
+                txn: TxnId(0),
+            },
+            now,
+        );
+        // The buffer drains during this cycle, after the gate was checked.
+        assert!(core.fast_cycle(now).is_some());
+        assert!(core.mem.sb_empty() && core.speculating());
+        now += 1;
+        // The commit cycle is the one the gate sends to the full step.
+        assert!(core.fast_cycle(now).is_none());
+        core.step(now);
+        assert!(!core.speculating());
+        assert_eq!(core.stats().counters.speculations_committed, 1);
     }
 }

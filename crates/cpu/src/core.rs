@@ -701,20 +701,41 @@ impl Core {
     pub fn step(&mut self, now: Cycle) -> CoreActivity {
         self.stats.trace.set_now(now);
         let speculating_before = self.engine.speculating();
+        // The batched path's engine gate, checked against what `tick` then
+        // does: a cycle the gate would have admitted must see no action, no
+        // episode opening or closing, and no commit.
+        #[cfg(debug_assertions)]
+        let gate_closed = (!self.engine.tick_due(&self.mem, now))
+            .then_some(self.stats.counters.speculations_committed);
 
         // 1. Engine maintenance (opportunistic commit, chunk management, CoV).
         let actions = {
             let Core { mem, engine, stats, .. } = self;
             engine.tick(mem, stats, now)
         };
+        #[cfg(debug_assertions)]
+        if let Some(committed_before) = gate_closed {
+            debug_assert!(actions.is_empty(), "tick acted while tick_due was false");
+            debug_assert_eq!(
+                self.engine.speculating(),
+                speculating_before,
+                "tick opened or closed an episode while tick_due was false"
+            );
+            debug_assert_eq!(
+                self.stats.counters.speculations_committed, committed_before,
+                "tick committed while tick_due was false"
+            );
+        }
         let engine_acted = !actions.is_empty();
         self.apply_engine_actions(actions);
 
         // 2. Resolve deferred external requests.
         let deferred_resolved = self.resolve_deferred(now);
 
-        // 3. Drain the store buffer into the L1.
-        let drained = {
+        // 3. Drain the store buffer into the L1 (a no-op when it is empty).
+        let drained = if self.mem.sb_empty() {
+            0
+        } else {
             let Core { mem, engine, stats, .. } = self;
             let drain_limit = self.cfg.sb_drain_per_cycle;
             mem.drain_store_buffer(drain_limit, now, &mut stats.counters, |epoch| {
@@ -789,9 +810,10 @@ impl Core {
     /// no-ops for this core. Every term is a length check or a trivial
     /// engine query, so the gate costs a few nanoseconds per attempt:
     ///
-    /// * a dead engine window ([`OrderingEngine::next_unbatchable_event`]
-    ///   returns `None`) means `tick` does nothing this cycle and no engine
-    ///   timer is pending;
+    /// * a closed engine gate ([`OrderingEngine::tick_due`] returns false)
+    ///   means `tick` does nothing this cycle — for the speculative engines,
+    ///   every speculating cycle except the one their commit condition
+    ///   first holds on;
     /// * no deferred snoops means deferred resolution does nothing, and no
     ///   pending replies means the reply routing the fast path skips has
     ///   nothing to route (no deliveries happen inside a core's cycle, so
@@ -809,7 +831,7 @@ impl Core {
         self.deferred.is_empty()
             && self.pending_replies.is_empty()
             && !self.mem.requests_pending()
-            && self.engine.next_unbatchable_event(now).is_none()
+            && !self.engine.tick_due(&self.mem, now)
     }
 
     /// Executes one admitted cycle of the batched fast path: exactly
@@ -827,8 +849,7 @@ impl Core {
     fn batch_cycle(&mut self, now: Cycle) -> CoreActivity {
         self.stats.trace.set_now(now);
         let speculating_before = self.engine.speculating();
-        // An empty buffer makes the drain stage a no-op; skipping the call
-        // avoids its candidate-collection allocation on the hot path.
+        // An empty buffer makes the drain stage a no-op; skip the call.
         let drained = if self.mem.sb_empty() {
             0
         } else {
@@ -983,7 +1004,7 @@ impl Core {
         let mut run_class: Option<CycleClass> = None;
         let mut run_len: Cycle = 0;
         while t < until {
-            debug_assert!(self.engine.next_unbatchable_event(t).is_none(), "leap contract");
+            debug_assert!(!self.engine.tick_due(&self.mem, t), "leap contract");
             debug_assert!(!self.engine.speculating(), "leap contract");
             self.stats.trace.set_now(t);
             let drained = if self.mem.sb_empty() {

@@ -227,20 +227,28 @@ pub trait OrderingEngine: Send {
         None
     }
 
-    /// The earliest future cycle at which this engine's *cycle-start
-    /// maintenance* could do anything — `None` means the engine is a pure
-    /// pass-through until further notice: its `tick` is a no-op and it has
-    /// no pending timer. Under that guarantee [`crate::Core::fast_cycle`]
-    /// may execute the core's cycle without the tick stage; every other
-    /// engine interaction (`try_retire`, `can_drain`, `on_load_issue`, even
-    /// one that starts a speculative episode) still runs through the shared
+    /// Whether this engine's cycle-start maintenance could act at `now`:
+    /// false only if [`OrderingEngine::tick`], run on this cycle's starting
+    /// state, would return no action, open or close no episode, commit
+    /// nothing and change no engine state. `false` is thus a proof that
+    /// `tick` is a no-op this cycle, and lets [`crate::Core::fast_cycle`] execute
+    /// the core's cycle without the tick stage; every other engine
+    /// interaction (`try_retire`, `can_drain`, `on_load_issue`, even one
+    /// that starts a speculative episode) still runs through the shared
     /// stage code, so engine side effects stay exact either way.
     ///
-    /// The conservative default (`Some(now)`, i.e. "right now") opts an
-    /// engine out of batching entirely; engines must override it only with a
-    /// proof that the window is dead.
-    fn next_unbatchable_event(&self, now: Cycle) -> Option<Cycle> {
-        Some(now)
+    /// The predicate is evaluated on the same state `tick` would see (the
+    /// core's memory side before the cycle's drain), so an engine whose
+    /// maintenance is a commit on a drain condition — the paper's
+    /// opportunistic constant-time commit — answers with that condition
+    /// and stays on the fast path on every speculating cycle but the one
+    /// the condition first holds. Debug builds check the proof on every
+    /// full [`crate::Core::step`] it was made for.
+    ///
+    /// The conservative default (`true`) opts an engine out of batching
+    /// entirely; engines must override it only with an exact predicate.
+    fn tick_due(&self, _mem: &CoreMem, _now: Cycle) -> bool {
+        true
     }
 
     /// Called once when the simulation ends so any still-provisional state
@@ -249,11 +257,11 @@ pub trait OrderingEngine: Send {
 
     /// Whether the leap kernel may advance a core driven by this engine over
     /// multi-cycle runs without consulting the engine each cycle. Returning
-    /// `true` is a *standing contract*, stronger than a dead
-    /// [`OrderingEngine::next_unbatchable_event`] window — the engine
-    /// guarantees, for the whole run of the simulation:
+    /// `true` is a *standing contract*, stronger than a false
+    /// [`OrderingEngine::tick_due`] — the engine guarantees, for the whole
+    /// run of the simulation:
     ///
-    /// * `tick` never acts, and `next_wake` / `next_unbatchable_event` are
+    /// * `tick` never acts, `tick_due` is always false and `next_wake` is
     ///   always `None` (no timers, ever);
     /// * `speculating` is always false and `rollback_floor` always `None`
     ///   (no checkpoints, no post-retirement speculation, nothing for
@@ -301,10 +309,10 @@ impl OrderingEngine for FreeRetireEngine {
         }
     }
 
-    fn next_unbatchable_event(&self, _now: Cycle) -> Option<Cycle> {
+    fn tick_due(&self, _mem: &CoreMem, _now: Cycle) -> bool {
         // No ordering constraints, no timers, no speculation: always a
         // pass-through for the batched fast path.
-        None
+        false
     }
 
     fn leap_transparent(&self) -> bool {

@@ -310,12 +310,12 @@ impl CoreMem {
             if attempts > 64 {
                 break;
             }
-            let candidates = self.sb.drain_candidates();
-            if candidates.is_empty() {
-                break;
-            }
+            // Walk the candidates in place: nothing below touches the store
+            // buffer until an entry drains, and a drain ends the walk.
             let mut progressed = false;
-            for (block, epoch) in candidates {
+            let mut i = 0;
+            while let Some((block, epoch)) = self.sb.drain_candidate(i) {
+                i += 1;
                 if !can_drain(epoch) {
                     continue;
                 }

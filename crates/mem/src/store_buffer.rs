@@ -255,15 +255,17 @@ impl StoreBuffer {
         }
     }
 
-    /// Blocks that currently could be drained, oldest-first. For FIFO
-    /// organizations only the head entry's block is a candidate; for the
-    /// coalescing buffer every entry is.
-    pub fn drain_candidates(&self) -> Vec<(BlockAddr, Option<u8>)> {
+    /// The `i`-th block that currently could be drained, oldest-first, or
+    /// `None` past the last candidate. For FIFO organizations only the head
+    /// entry's block is a candidate; for the coalescing buffer every entry
+    /// is. Walking `i = 0, 1, ...` visits the candidates without collecting
+    /// them, so the per-cycle drain allocates nothing.
+    pub fn drain_candidate(&self, i: usize) -> Option<(BlockAddr, Option<u8>)> {
         match &self.organization {
             Organization::Fifo(q) | Organization::Scalable(q) => {
-                q.front().map(|s| vec![(s.block, s.epoch)]).unwrap_or_default()
+                q.front().filter(|_| i == 0).map(|s| (s.block, s.epoch))
             }
-            Organization::Coalescing(v) => v.iter().map(|e| (e.block, e.epoch)).collect(),
+            Organization::Coalescing(v) => v.get(i).map(|e| (e.block, e.epoch)),
         }
     }
 
@@ -391,13 +393,9 @@ impl StoreBuffer {
     /// oldest-first, merged per block for FIFO organizations.
     pub fn drain_all(&mut self) -> Vec<SbEntry> {
         let mut out = Vec::new();
-        loop {
-            let next = self.drain_candidates().first().copied();
-            match next {
-                Some((block, _)) => match self.drain_block(block) {
-                    Some(e) => out.push(e),
-                    None => break,
-                },
+        while let Some((block, _)) = self.drain_candidate(0) {
+            match self.drain_block(block) {
+                Some(e) => out.push(e),
                 None => break,
             }
         }
@@ -421,13 +419,14 @@ mod tests {
         sb.push(Addr::new(0x108), 3, None).unwrap();
         assert_eq!(sb.len(), 3);
         // Only the head block is drainable.
-        assert_eq!(sb.drain_candidates(), vec![(blk(0x100), None)]);
+        assert_eq!(sb.drain_candidate(0), Some((blk(0x100), None)));
+        assert_eq!(sb.drain_candidate(1), None);
         // Draining the head stops at the first entry for a different block,
         // preserving FIFO order (0x108 stays buffered behind 0x200).
         let e = sb.drain_block(blk(0x100)).unwrap();
         assert_eq!(e.word_mask, 0b0000_0001);
         assert_eq!(sb.len(), 2);
-        assert_eq!(sb.drain_candidates(), vec![(blk(0x200), None)]);
+        assert_eq!(sb.drain_candidate(0), Some((blk(0x200), None)));
     }
 
     #[test]
@@ -456,6 +455,11 @@ mod tests {
         sb.push(Addr::new(0x108), 2, None).unwrap();
         sb.push(Addr::new(0x110), 3, None).unwrap();
         assert_eq!(sb.len(), 1);
+        sb.push(Addr::new(0x200), 4, Some(0)).unwrap();
+        // Every coalescing entry is a candidate, in insertion order.
+        assert_eq!(sb.drain_candidate(0), Some((blk(0x100), None)));
+        assert_eq!(sb.drain_candidate(1), Some((blk(0x200), Some(0))));
+        assert_eq!(sb.drain_candidate(2), None);
         let e = sb.drain_block(blk(0x100)).unwrap();
         assert_eq!(e.word_mask, 0b0000_0111);
         assert_eq!(e.data.word(1), 2);

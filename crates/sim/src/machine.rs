@@ -31,10 +31,15 @@
 //! — before the live drain/issue/retire/dispatch pipeline, and its issue
 //! stage rescans the whole reorder buffer from position 0. When a cheap
 //! per-core gate proves the dead stages are no-ops this cycle (no deferred
-//! snoops, no pending replies, a dead engine window), the core runs a
-//! trimmed copy of the same cycle ([`ifence_cpu::Core::fast_cycle`]): the
-//! live stages through the identical code paths, with the issue scan
-//! starting at the already-issued prefix. Fast cycles may queue coherence
+//! snoops, no pending replies, and an engine whose `tick` cannot act —
+//! [`ifence_cpu::OrderingEngine::tick_due`]), the core runs a trimmed copy
+//! of the same cycle ([`ifence_cpu::Core::fast_cycle`]): the live stages
+//! through the identical code paths, with the issue scan starting at the
+//! already-issued prefix. The engine term is exact, not merely "not
+//! speculating": a speculative engine's maintenance is its opportunistic
+//! commit, so the gate is that commit's drain condition, and a speculating
+//! core takes the fast path on every cycle except the one its stores have
+//! just drained on. Fast cycles may queue coherence
 //! requests like any other; the machine routes them at the same point in
 //! the same order, so the fabric schedule — and therefore every simulated
 //! result — is byte-identical. Batching is on by default

@@ -115,7 +115,7 @@ fn fifo_store_buffer_preserves_order() {
             sb.push(Addr::new(b * 64), i as u64, None).unwrap();
         }
         let mut drained = Vec::new();
-        while let Some((blk, _)) = sb.drain_candidates().first().copied() {
+        while let Some((blk, _)) = sb.drain_candidate(0) {
             let entry = sb.drain_block(blk).unwrap();
             drained.push(entry.block.number());
         }
