@@ -14,7 +14,7 @@ fn main() {
     let mut table =
         ColumnTable::new(["min chunk (instr)", "cycles", "Violation cycles", "chunks committed"]);
     let chunks = [25usize, 50, 100, 200, 400];
-    let rows = sweep::parallel_map(&chunks, params.effective_jobs(), |_, &chunk| {
+    let rows = sweep::parallel_map(&chunks, params.parallelism, |_, &chunk| {
         let mut cfg = ifence_types::MachineConfig::with_engine(EngineKind::InvisiContinuous {
             commit_on_violate: false,
         });

@@ -22,7 +22,7 @@ fn main() {
         "CoV timeouts",
     ]);
     let timeouts = [0u64, 500, 4000, 16000];
-    let rows = sweep::parallel_map(&timeouts, params.effective_jobs(), |_, &timeout| {
+    let rows = sweep::parallel_map(&timeouts, params.parallelism, |_, &timeout| {
         let mut cfg = ifence_types::MachineConfig::with_engine(EngineKind::InvisiContinuous {
             commit_on_violate: timeout > 0,
         });

@@ -1,24 +1,21 @@
-//! Ablation: wall-clock cost of the four simulation-kernel modes — dense
-//! (poll-every-cycle), event-driven (skip quiescent cycles), batched
-//! (event-driven plus the per-core execution fast path that trims the
-//! provably-dead stages out of each stepped cycle) and leap (batched plus
-//! multi-cycle advancement of leap-transparent cores between fabric events).
+//! Ablation: wall-clock cost of the dense oracle (poll every core every
+//! cycle through every stage) against the default kernel (event skipping
+//! over provably quiescent cycles plus execution batching, which trims the
+//! provably-dead stages out of each stepped cycle).
 //!
-//! The comparison targets the regime the kernels were built for:
+//! The comparison targets the regime the default kernel was built for:
 //! conventional SC on a lock-heavy commercial workload at paper-like
 //! latencies spends most of its simulated cycles in SB-drain/SB-full stalls
 //! (Figure 1) — exactly where per-cycle polling wastes the most work, and
 //! where the cycles that must still be stepped rarely need the engine
-//! maintenance and deferred-snoop stages the fast path elides. Simulated
-//! results are byte-identical across all four modes (asserted here and in
+//! maintenance and deferred-snoop stages batching elides. Simulated results
+//! are byte-identical in both modes (asserted here and in
 //! `tests/kernel_equivalence.rs`); only the wall-clock time differs.
-//! `IFENCE_DENSE=1` forces every mode dense, `IFENCE_BATCH=0` collapses
-//! batched into event-driven, and `IFENCE_LEAP=0` collapses leap into
-//! batched, flattening the corresponding ratios to ~1.
+//! `IFENCE_DENSE=1` forces both modes dense, flattening the ratio to ~1.
 //!
 //! Each mode appends its own `BENCH_results.json` row (detail "dense
-//! kernel" / "event-driven kernel" / "batched kernel" / "leap kernel"), so
-//! the perf trajectory tracks the modes separately across invocations.
+//! kernel" / "default kernel"), so the perf trajectory tracks the modes
+//! separately across invocations.
 
 use ifence_bench::{paper_params, print_header, BenchRun};
 use ifence_stats::ColumnTable;
@@ -35,8 +32,6 @@ fn reps() -> usize {
 fn timed_run(
     engine: EngineKind,
     dense: bool,
-    batch: bool,
-    leap: bool,
     params: &ifence_sim::ExperimentParams,
     workload: &ifence_workloads::WorkloadSpec,
 ) -> (u64, f64) {
@@ -46,8 +41,6 @@ fn timed_run(
         let mut cfg = MachineConfig::with_engine(engine);
         cfg.seed = params.seed;
         cfg.dense_kernel = dense;
-        cfg.batch_kernel = batch;
-        cfg.leap_kernel = leap;
         let programs = workload.generate(cfg.cores, params.instructions_per_core, params.seed);
         let machine = ifence_sim::Machine::new(cfg, programs).expect("valid config");
         let start = Instant::now();
@@ -68,7 +61,7 @@ fn main() {
     let params = paper_params();
     let _run = print_header(
         "Ablation",
-        "simulation-kernel mode: dense polling vs event-driven vs batched execution",
+        "simulation-kernel mode: dense oracle vs the default event-driven batched kernel",
         &params,
     );
     let workload = presets::apache();
@@ -79,77 +72,42 @@ fn main() {
         EngineKind::InvisiSelective(ConsistencyModel::Sc),
         EngineKind::InvisiContinuous { commit_on_violate: true },
     ];
-    // (dense_kernel, batch_kernel, leap_kernel, trajectory detail) per mode.
-    let modes = [
-        (true, false, false, "dense kernel"),
-        (false, false, false, "event-driven kernel"),
-        (false, true, false, "batched kernel"),
-        (false, true, true, "leap kernel"),
-    ];
+    // (dense_kernel, trajectory detail) per mode.
+    let modes = [(true, "dense kernel"), (false, "default kernel")];
     // Timed serially (never through the parallel sweep): concurrent cells
     // would contend for cores and corrupt the wall-clock comparison. Mode by
     // mode, so each mode's trajectory row times exactly its own runs.
     let mut measured = vec![Vec::new(); engines.len()];
-    for (dense, batch, leap, detail) in modes {
+    for (dense, detail) in modes {
         let _mode_run = BenchRun::start("ablation_kernel_mode", detail, &params);
         for (i, engine) in engines.iter().enumerate() {
-            measured[i].push(timed_run(*engine, dense, batch, leap, &params, &workload));
+            measured[i].push(timed_run(*engine, dense, &params, &workload));
         }
     }
-    let mut table = ColumnTable::new([
-        "engine",
-        "cycles",
-        "dense ms",
-        "event ms",
-        "batched ms",
-        "leap ms",
-        "event vs dense",
-        "batched vs event",
-        "leap vs batched",
-    ]);
+    let mut table =
+        ColumnTable::new(["engine", "cycles", "dense ms", "default ms", "default vs dense"]);
     for (engine, runs) in engines.iter().zip(&measured) {
-        let [(dense_cycles, dense_ms), (event_cycles, event_ms), (batch_cycles, batch_ms), (leap_cycles, leap_ms)] =
-            runs[..]
-        else {
-            unreachable!("four modes per engine");
+        let [(dense_cycles, dense_ms), (default_cycles, default_ms)] = runs[..] else {
+            unreachable!("two modes per engine");
         };
         assert_eq!(
             dense_cycles,
-            event_cycles,
-            "{}: event-driven kernel disagrees on simulated cycles",
-            engine.label()
-        );
-        assert_eq!(
-            dense_cycles,
-            batch_cycles,
-            "{}: batched kernel disagrees on simulated cycles",
-            engine.label()
-        );
-        assert_eq!(
-            dense_cycles,
-            leap_cycles,
-            "{}: leap kernel disagrees on simulated cycles",
+            default_cycles,
+            "{}: the default kernel disagrees on simulated cycles",
             engine.label()
         );
         table.push_row([
             engine.label(),
             dense_cycles.to_string(),
             format!("{dense_ms:.1}"),
-            format!("{event_ms:.1}"),
-            format!("{batch_ms:.1}"),
-            format!("{leap_ms:.1}"),
-            format!("{:.2}x", dense_ms / event_ms.max(1e-9)),
-            format!("{:.2}x", event_ms / batch_ms.max(1e-9)),
-            format!("{:.2}x", batch_ms / leap_ms.max(1e-9)),
+            format!("{default_ms:.1}"),
+            format!("{:.2}x", dense_ms / default_ms.max(1e-9)),
         ]);
     }
     println!("{table}");
     println!(
-        "(speedups are wall-clock ratios; simulated results are identical in all four modes — \
-         in-flight fabric transactions live in a generation-indexed slab arena, the batched mode \
-         runs each eligible core cycle without its provably-dead stages, and the leap mode \
-         advances leap-transparent cores over whole event-free runs; the speculative engines \
-         are not leap-transparent, so their leap cells honestly measure the batched kernel \
-         again and the ratio hovers around 1)"
+        "(speedups are wall-clock ratios; simulated results are identical in both modes — the \
+         default kernel sleeps quiescent cores, jumps time over machine-wide quiescence, and \
+         runs each admitted core cycle without its provably-dead stages)"
     );
 }

@@ -13,7 +13,7 @@ fn main() {
     let workload = presets::apache();
     let mut table = ColumnTable::new(["SB entries", "cycles", "SB-full cycles"]);
     let sizes = [2usize, 4, 8, 16, 32];
-    let rows = sweep::parallel_map(&sizes, params.effective_jobs(), |_, &entries| {
+    let rows = sweep::parallel_map(&sizes, params.parallelism, |_, &entries| {
         // Rebuild the experiment with a custom store-buffer size by adjusting
         // the derived configuration through the runner's seam: the runner uses
         // MachineConfig::with_engine, so emulate it here directly.

@@ -135,7 +135,7 @@ fn default_results_path() -> PathBuf {
 /// phases can be read honestly against the whole wall clock.
 ///
 /// Benches that sweep a structured parameter attach it with
-/// [`BenchRun::with_u64`] (e.g. `machine_threads`), so trajectory consumers
+/// [`BenchRun::with_u64`] (e.g. `store_buffer_entries`), so trajectory consumers
 /// can filter rows numerically instead of parsing the detail string.
 pub struct BenchRun {
     bench: String,
@@ -167,7 +167,7 @@ impl BenchRun {
             detail: detail.to_string(),
             instructions_per_core: params.instructions_per_core as u64,
             seed: params.seed,
-            jobs: params.effective_jobs() as u64,
+            jobs: params.parallelism as u64,
             extra: Vec::new(),
             start: Instant::now(),
             profile_start: PhaseProfile::global().snapshot(),
@@ -176,7 +176,7 @@ impl BenchRun {
     }
 
     /// Attaches a structured numeric field to this run's trajectory record
-    /// (e.g. `machine_threads`), alongside the human-readable detail string.
+    /// (e.g. `store_buffer_entries`), alongside the human-readable detail string.
     #[must_use]
     pub fn with_u64(mut self, name: &str, value: u64) -> BenchRun {
         self.extra.push((name.to_string(), value));
@@ -324,15 +324,15 @@ mod tests {
     #[test]
     fn records_carry_host_threads_and_structured_fields() {
         let params = ExperimentParams::quick_test();
-        let run =
-            BenchRun::begin("Ablation", "2 threads", &params, None).with_u64("machine_threads", 2);
+        let run = BenchRun::begin("Ablation", "2 entries", &params, None)
+            .with_u64("store_buffer_entries", 2);
         let record = run.record(1.0);
         assert!(
             record.field("host_threads").and_then(Json::as_u64).unwrap() >= 1,
             "every record must say how much hardware the host exposed"
         );
         assert_eq!(
-            record.field("machine_threads").and_then(Json::as_u64),
+            record.field("store_buffer_entries").and_then(Json::as_u64),
             Some(2),
             "structured fields ride alongside the detail string"
         );

@@ -54,4 +54,4 @@ mod slab;
 pub use directory::{home_of, DirectoryEntry, DirectoryState};
 pub use event_queue::EventQueue;
 pub use fabric::{CoherenceFabric, FabricConfig};
-pub use messages::{CoherenceReqKind, CoherenceRequest, Delivery, FabricInput, SnoopReply, TxnId};
+pub use messages::{CoherenceReqKind, CoherenceRequest, Delivery, SnoopReply, TxnId};

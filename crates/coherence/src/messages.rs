@@ -156,19 +156,6 @@ impl SnoopReply {
     }
 }
 
-/// One core→fabric message, in either direction a core can speak: the
-/// epoch-parallel kernel buffers these (tagged with their emission cycle)
-/// while cores step independently, then replays them through
-/// [`crate::CoherenceFabric::ingest`] in the exact serial order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FabricInput {
-    /// A snoop reply — routed before the emitting cycle's requests, matching
-    /// the serial kernel's per-core routing order.
-    Reply(SnoopReply),
-    /// A coherence request (GetS/GetM/writeback).
-    Request(CoherenceRequest),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

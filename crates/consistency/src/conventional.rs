@@ -105,14 +105,6 @@ impl OrderingEngine for ConventionalEngine {
         // no-op tick, so their maintenance stage is dead on every cycle.
         false
     }
-
-    fn leap_transparent(&self) -> bool {
-        // Stateless beyond the model selector: no timers, no speculation, no
-        // checkpoints, no drain gating, default `record_cycles`. Every clause
-        // of the leap contract holds for the simulation's whole lifetime, so
-        // the leap kernel may advance conventional cores in multi-cycle runs.
-        true
-    }
 }
 
 #[cfg(test)]

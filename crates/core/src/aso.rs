@@ -376,13 +376,6 @@ impl OrderingEngine for AsoEngine {
             || (self.speculating_now() && mem.sb_empty())
     }
 
-    fn leap_transparent(&self) -> bool {
-        // Atomic-sequence checkpoints buffer cycles provisionally and the
-        // commit drain is a live timer; the leap contract cannot hold. ASO
-        // cores keep the per-cycle batched path.
-        false
-    }
-
     fn finalize(&mut self, _mem: &mut CoreMem, stats: &mut CoreStats) {
         if !self.checkpoints.is_empty() {
             stats.counters.speculations_committed += 1;

@@ -282,14 +282,6 @@ impl OrderingEngine for InvisiContinuousEngine {
     fn finalize(&mut self, mem: &mut CoreMem, stats: &mut CoreStats) {
         self.kernel.finalize(mem, stats);
     }
-
-    fn leap_transparent(&self) -> bool {
-        // Speculative: cycles are buffered provisionally per episode, the
-        // tick acts on commit cycles, and epochs gate the store-buffer
-        // drain. The leap contract cannot hold; continuous-mode cores keep
-        // the per-cycle batched path.
-        false
-    }
 }
 
 #[cfg(test)]

@@ -310,14 +310,6 @@ impl OrderingEngine for InvisiSelectiveEngine {
         self.kernel.commit_ready(mem)
     }
 
-    fn leap_transparent(&self) -> bool {
-        // Speculative: episodes buffer cycles provisionally and gate the
-        // store-buffer drain, so the leap contract's "always" clauses cannot
-        // hold even between episodes. Selective cores keep the per-cycle
-        // batched path (whose gate tracks commit readiness).
-        false
-    }
-
     fn finalize(&mut self, mem: &mut CoreMem, stats: &mut CoreStats) {
         self.kernel.finalize(mem, stats);
     }
@@ -839,8 +831,9 @@ mod tests {
             assert!(now < 100, "the fence never triggered speculation");
         }
         // The store the episode depends on is still buffered: no commit can
-        // happen, so the speculating core is admitted to the fast path.
-        assert!(core.fast_cycle(now).is_some());
+        // happen, so the speculating core's cycle is batched.
+        assert!(core.batch_ready(now));
+        core.step(now);
         now += 1;
         core.handle_delivery(
             Delivery::Fill {
@@ -853,11 +846,12 @@ mod tests {
             now,
         );
         // The buffer drains during this cycle, after the gate was checked.
-        assert!(core.fast_cycle(now).is_some());
+        assert!(core.batch_ready(now));
+        core.step(now);
         assert!(core.mem.sb_empty() && core.speculating());
         now += 1;
         // The commit cycle is the one the gate sends to the full step.
-        assert!(core.fast_cycle(now).is_none());
+        assert!(!core.batch_ready(now));
         core.step(now);
         assert!(!core.speculating());
         assert_eq!(core.stats().counters.speculations_committed, 1);

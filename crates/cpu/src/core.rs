@@ -6,15 +6,15 @@ use crate::engine::{
 };
 use crate::mem_side::CoreMem;
 use crate::rob::Rob;
-use ifence_coherence::{CoherenceRequest, Delivery, FabricInput, SnoopReply, TxnId};
+use ifence_coherence::{CoherenceRequest, Delivery, SnoopReply, TxnId};
 use ifence_stats::{CoreStats, TraceKind};
 use ifence_types::{
     earliest_wake, BlockAddr, BoxedSource, CoreActivity, CoreConfig, CoreId, Cycle, CycleClass,
     InstrKind, MachineConfig, Program, ProgramSource, StallReason,
 };
 
-/// Sleep record for a quiescent core, kept by the machine kernels (serial
-/// event-driven and epoch-parallel alike) while the core is provably idle.
+/// Sleep record for a quiescent core, kept by the machine's event-driven
+/// loop while the core is provably idle.
 /// On wake-up the skipped stretch is attributed in bulk via
 /// [`Core::absorb_quiescent_cycles`], keeping cycle breakdowns exact.
 #[derive(Debug, Clone, Copy)]
@@ -27,16 +27,6 @@ pub struct CoreSleep {
     /// Earliest cycle the core could act of its own accord; `None` means
     /// only a coherence delivery can wake it.
     pub wake_at: Option<Cycle>,
-}
-
-/// What [`Core::step_until`] observed over one epoch's worth of stepping.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EpochStepReport {
-    /// Last cycle within the epoch at which the core progressed.
-    pub last_progress: Option<Cycle>,
-    /// First cycle within this call at which [`Core::finished`] held after
-    /// the core's step (the cycle the core finished on, if it did).
-    pub finished_at: Option<Cycle>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -73,15 +63,15 @@ pub struct Core {
     pending_replies: Vec<SnoopReply>,
     load_results: Vec<(usize, u64)>,
     /// Leading issued prefix: ROB entries `[0, issued_prefix)` are all
-    /// issued, so the batched issue stage starts its scan there instead of
-    /// walking the whole buffer. Maintained by both issue paths and shifted
+    /// issued, so a batched cycle starts its issue scan there instead of
+    /// walking the whole buffer. Maintained by the issue scan and shifted
     /// by retirement; squashes only truncate the tail, so clamping to the
     /// current length keeps it sound.
     issued_prefix: usize,
-    /// Cached [`OrderingEngine::leap_transparent`] answer: whether this
-    /// core's engine permits the leap kernel's multi-cycle runs. Queried once
-    /// at construction so the leap gate is a field read, not a virtual call.
-    leap_ok: bool,
+    /// Dense-oracle mode: the batching gate ([`Core::batch_ready`]) is
+    /// forced closed, so every cycle runs every stage and scans the whole
+    /// buffer. Set by the machine's dense oracle kernel.
+    dense: bool,
 }
 
 impl Core {
@@ -110,7 +100,6 @@ impl Core {
         cfg: &MachineConfig,
         engine: Box<dyn OrderingEngine>,
     ) -> Self {
-        let leap_ok = engine.leap_transparent();
         Core {
             id,
             cfg: cfg.core,
@@ -128,17 +117,15 @@ impl Core {
             pending_replies: Vec::new(),
             load_results: Vec::new(),
             issued_prefix: 0,
-            leap_ok,
+            dense: cfg.dense_kernel,
         }
     }
 
-    /// Whether this core's ordering engine admits leap execution
-    /// ([`OrderingEngine::leap_transparent`], cached at construction). The
-    /// machine uses this to keep an all-speculative machine off the leap
-    /// kernel's epoch routing entirely — no core could leap, so the merge
-    /// replay would be pure overhead.
-    pub fn leap_transparent(&self) -> bool {
-        self.leap_ok
+    /// Forces the batching gate closed (`true`) or lets it decide (`false`).
+    /// The dense oracle runs with the gate closed, so every cycle runs every
+    /// stage and the default kernel's elisions are checked against it.
+    pub fn set_dense(&mut self, dense: bool) {
+        self.dense = dense;
     }
 
     /// This core's identifier.
@@ -349,16 +336,14 @@ impl Core {
                 // Also wake any instruction that issued a request for this
                 // block but whose waiter registration was lost (e.g. it was
                 // re-dispatched after a replay while the miss was in flight).
-                let stragglers: Vec<u64> = self
-                    .rob
-                    .status_iter()
-                    .filter(|(e, complete_at, issued)| {
-                        *issued && complete_at.is_none() && e.block == Some(block)
-                    })
-                    .map(|(e, _, _)| e.dispatch_id)
-                    .collect();
-                for waiter in stragglers {
-                    self.complete_waiter(waiter, block, now);
+                // Completing an entry never reorders or resizes the buffer.
+                for position in 0..self.rob.len() {
+                    if self.rob.is_issued(position)
+                        && self.rob.complete_at(position).is_none()
+                        && self.rob.get(position).is_some_and(|e| e.block == Some(block))
+                    {
+                        self.complete_at_position(position, block, now);
+                    }
                 }
                 None
             }
@@ -377,13 +362,16 @@ impl Core {
     }
 
     fn complete_waiter(&mut self, waiter: u64, block: BlockAddr, now: Cycle) {
-        let hit_latency = self.l1_hit_latency;
-        let at_head = self.mem.sb_empty()
-            && self.rob.head().map(|h| h.dispatch_id == waiter).unwrap_or(false);
         // Find the waiting instruction; it may have been squashed, in which
         // case there is nothing to do.
-        let Some(position) = self.rob.position_of(waiter) else { return };
-        self.rob.set_complete_at(position, now + hit_latency);
+        if let Some(position) = self.rob.position_of(waiter) {
+            self.complete_at_position(position, block, now);
+        }
+    }
+
+    fn complete_at_position(&mut self, position: usize, block: BlockAddr, now: Cycle) {
+        let at_head = position == 0 && self.mem.sb_empty();
+        self.rob.set_complete_at(position, now + self.l1_hit_latency);
         let entry = self.rob.get(position).expect("position below len");
         if entry.instr.kind.reads_memory() && !entry.performed_read {
             let addr = entry.instr.kind.addr().unwrap_or_default();
@@ -455,20 +443,23 @@ impl Core {
     }
 
     /// Returns true if any deferred request was resolved (state changed).
+    /// Resolved entries are compacted out of the list in place, so an open
+    /// deferral costs no allocation per cycle; the visit order is the list
+    /// order. Nothing called here touches the list itself.
     fn resolve_deferred(&mut self, now: Cycle) -> bool {
-        if self.deferred.is_empty() {
-            return false;
-        }
-        let mut still_deferred = Vec::new();
-        let deferred = std::mem::take(&mut self.deferred);
-        let before = deferred.len();
-        for d in deferred {
+        let before = self.deferred.len();
+        let mut kept = 0;
+        for i in 0..before {
+            let d = self.deferred[i];
             let resolution = {
                 let Core { mem, engine, stats, .. } = self;
                 engine.resolve_deferred(mem, stats, d.block, d.kind, d.deadline, now)
             };
             match resolution {
-                DeferResolution::Wait => still_deferred.push(d),
+                DeferResolution::Wait => {
+                    self.deferred[kept] = d;
+                    kept += 1;
+                }
                 DeferResolution::Ack => {
                     self.stats.trace.emit_at(now, TraceKind::CovDeferEnd, 0);
                     self.in_window_snoop(d.block, d.kind);
@@ -483,22 +474,17 @@ impl Core {
                 }
             }
         }
-        let resolved = still_deferred.len() != before;
-        self.deferred = still_deferred;
-        resolved
+        self.deferred.truncate(kept);
+        kept != before
     }
 
-    /// Returns true if any instruction issued (state changed).
-    fn issue_stage(&mut self, now: Cycle) -> bool {
-        self.issue_stage_from(now, 0)
-    }
-
-    /// The issue scan, starting at position `start` — 0 from [`Core::step`];
-    /// the issued prefix from the batched fast path, which is sound because
-    /// entries below the prefix are all issued (the full scan would skip
+    /// The issue scan, starting at position `start`: 0 on a full cycle, the
+    /// issued prefix on a batched one. Starting at the prefix is sound
+    /// because entries below it are all issued (the full scan would skip
     /// them without reading or writing anything) and unissued memory
-    /// operations consume issue ports in buffer order either way.
-    fn issue_stage_from(&mut self, now: Cycle, start: usize) -> bool {
+    /// operations consume issue ports in buffer order either way. Returns
+    /// true if any instruction issued (state changed).
+    fn issue_stage(&mut self, now: Cycle, start: usize) -> bool {
         let mut issued_any = false;
         let mut mem_ports_used = 0;
         let mut issued_prefix = None;
@@ -698,39 +684,54 @@ impl Core {
     /// — when it did not — the earliest cycle it could act again (the
     /// event-driven kernel's scheduling contract; see
     /// [`ifence_types::CoreActivity`]).
+    ///
+    /// When [`Core::batch_ready`] admits the cycle it is *batched*: the two
+    /// stages the gate proves dead — engine maintenance and deferred-snoop
+    /// resolution — are skipped, and the issue scan starts at the issued
+    /// prefix instead of position 0. Everything else (drain → issue →
+    /// retire → dispatch → release → finalize → attribution) runs through
+    /// the same code either way, so a batched cycle is byte-identical to a
+    /// full one. The dense oracle forces the gate closed, which makes every
+    /// cycle full and keeps dense ≡ default a real check of both elisions.
     pub fn step(&mut self, now: Cycle) -> CoreActivity {
         self.stats.trace.set_now(now);
         let speculating_before = self.engine.speculating();
-        // The batched path's engine gate, checked against what `tick` then
-        // does: a cycle the gate would have admitted must see no action, no
-        // episode opening or closing, and no commit.
-        #[cfg(debug_assertions)]
-        let gate_closed = (!self.engine.tick_due(&self.mem, now))
-            .then_some(self.stats.counters.speculations_committed);
+        let batched = self.batch_ready(now);
+        let mut engine_acted = false;
+        let mut deferred_resolved = false;
+        if !batched {
+            // The engine gate, checked against what `tick` then does: a
+            // cycle the gate would have admitted must see no action, no
+            // episode opening or closing, and no commit.
+            #[cfg(debug_assertions)]
+            let gate_closed = (!self.engine.tick_due(&self.mem, now))
+                .then_some(self.stats.counters.speculations_committed);
 
-        // 1. Engine maintenance (opportunistic commit, chunk management, CoV).
-        let actions = {
-            let Core { mem, engine, stats, .. } = self;
-            engine.tick(mem, stats, now)
-        };
-        #[cfg(debug_assertions)]
-        if let Some(committed_before) = gate_closed {
-            debug_assert!(actions.is_empty(), "tick acted while tick_due was false");
-            debug_assert_eq!(
-                self.engine.speculating(),
-                speculating_before,
-                "tick opened or closed an episode while tick_due was false"
-            );
-            debug_assert_eq!(
-                self.stats.counters.speculations_committed, committed_before,
-                "tick committed while tick_due was false"
-            );
+            // 1. Engine maintenance (opportunistic commit, chunk
+            //    management, CoV).
+            let actions = {
+                let Core { mem, engine, stats, .. } = self;
+                engine.tick(mem, stats, now)
+            };
+            #[cfg(debug_assertions)]
+            if let Some(committed_before) = gate_closed {
+                debug_assert!(actions.is_empty(), "tick acted while tick_due was false");
+                debug_assert_eq!(
+                    self.engine.speculating(),
+                    speculating_before,
+                    "tick opened or closed an episode while tick_due was false"
+                );
+                debug_assert_eq!(
+                    self.stats.counters.speculations_committed, committed_before,
+                    "tick committed while tick_due was false"
+                );
+            }
+            engine_acted = !actions.is_empty();
+            self.apply_engine_actions(actions);
+
+            // 2. Resolve deferred external requests.
+            deferred_resolved = self.resolve_deferred(now);
         }
-        let engine_acted = !actions.is_empty();
-        self.apply_engine_actions(actions);
-
-        // 2. Resolve deferred external requests.
-        let deferred_resolved = self.resolve_deferred(now);
 
         // 3. Drain the store buffer into the L1 (a no-op when it is empty).
         let drained = if self.mem.sb_empty() {
@@ -744,7 +745,8 @@ impl Core {
         };
 
         // 4. Issue ready instructions to the memory system / ALUs.
-        let issued = self.issue_stage(now);
+        let issue_from = if batched { self.issued_prefix.min(self.rob.len()) } else { 0 };
+        let issued = self.issue_stage(now, issue_from);
 
         // 5. Retire in order, consulting the ordering engine.
         let (retired, stall) = self.retire_stage(now);
@@ -763,10 +765,10 @@ impl Core {
         // requirements are trivially satisfied because the store buffer is
         // empty).
         let mut finalized = false;
-        if self.trace_done()
+        if self.engine.speculating()
             && self.rob.is_empty()
             && self.mem.sb_empty()
-            && self.engine.speculating()
+            && self.trace_done()
         {
             let Core { mem, engine, stats, .. } = self;
             engine.finalize(mem, stats);
@@ -804,119 +806,33 @@ impl Core {
         }
     }
 
-    /// Admission gate of the batched fast path: true if, right now, the two
-    /// stages [`Core::batch_cycle`] omits relative to [`Core::step`] —
-    /// engine maintenance and deferred-snoop resolution — are provably
-    /// no-ops for this core. Every term is a length check or a trivial
-    /// engine query, so the gate costs a few nanoseconds per attempt:
+    /// The batching gate: true if, right now, the two stages a batched
+    /// [`Core::step`] skips — engine maintenance and deferred-snoop
+    /// resolution — are provably no-ops for this core, and the dense oracle
+    /// has not forced the gate closed. Every term is a length check or a
+    /// trivial engine query, so the gate costs a few nanoseconds per cycle:
     ///
     /// * a closed engine gate ([`OrderingEngine::tick_due`] returns false)
     ///   means `tick` does nothing this cycle — for the speculative engines,
     ///   every speculating cycle except the one their commit condition
     ///   first holds on;
     /// * no deferred snoops means deferred resolution does nothing, and no
-    ///   pending replies means the reply routing the fast path skips has
-    ///   nothing to route (no deliveries happen inside a core's cycle, so
-    ///   neither can appear mid-cycle);
-    /// * an empty outbox is an invariant at cycle start (every path routes
+    ///   pending replies means there is no reply for the machine to route
+    ///   (no deliveries happen inside a core's cycle, so neither can appear
+    ///   mid-cycle);
+    /// * an empty outbox is an invariant at cycle start (the machine routes
     ///   requests in the same cycle that queues them); the term is
     ///   defensive.
     ///
     /// Everything else — misses, drains, retires of any instruction kind,
     /// even requests queued by the cycle itself — is allowed: the live
-    /// stages run through the same code paths as `step`, and the machine
-    /// loop routes fast-cycle requests exactly as it routes slow-cycle
-    /// ones.
-    fn batch_ready(&mut self, now: Cycle) -> bool {
-        self.deferred.is_empty()
+    /// stages run through the same code on every cycle.
+    pub fn batch_ready(&mut self, now: Cycle) -> bool {
+        !self.dense
+            && self.deferred.is_empty()
             && self.pending_replies.is_empty()
             && !self.mem.requests_pending()
             && !self.engine.tick_due(&self.mem, now)
-    }
-
-    /// Executes one admitted cycle of the batched fast path: exactly
-    /// [`Core::step`] minus the two stages [`Core::batch_ready`] proved
-    /// dead (engine tick, deferred resolution), with one scheduling
-    /// refinement — the issue scan starts at the issued prefix instead of
-    /// position 0, which is behaviour-preserving because every entry below
-    /// the prefix is already issued and would be skipped by the full scan
-    /// without reading or writing anything. All live stages (drain →
-    /// issue → retire → dispatch → release → finalize → attribution) run
-    /// through the same code paths as `step` — `try_retire`, `can_drain`
-    /// and `on_load_issue` included, so engine side effects, stall
-    /// attribution and the returned [`CoreActivity`] are identical and
-    /// results stay byte-identical to the other two kernels.
-    fn batch_cycle(&mut self, now: Cycle) -> CoreActivity {
-        self.stats.trace.set_now(now);
-        let speculating_before = self.engine.speculating();
-        // An empty buffer makes the drain stage a no-op; skip the call.
-        let drained = if self.mem.sb_empty() {
-            0
-        } else {
-            let Core { mem, engine, stats, .. } = self;
-            let drain_limit = self.cfg.sb_drain_per_cycle;
-            mem.drain_store_buffer(drain_limit, now, &mut stats.counters, |epoch| {
-                engine.can_drain(epoch)
-            })
-        };
-        let issued = self.issue_stage_from(now, self.issued_prefix.min(self.rob.len()));
-        let (retired, stall) = self.retire_stage(now);
-        let dispatched = self.dispatch_stage();
-        let frontier = self.engine.rollback_floor().unwrap_or(self.retired).min(self.retired);
-        self.source.release(frontier);
-        let mut finalized = false;
-        if self.engine.speculating()
-            && self.rob.is_empty()
-            && self.mem.sb_empty()
-            && self.trace_done()
-        {
-            let Core { mem, engine, stats, .. } = self;
-            engine.finalize(mem, stats);
-            finalized = true;
-        }
-        let class = if self.finished() {
-            None
-        } else if retired > 0 {
-            Some(CycleClass::Busy)
-        } else {
-            Some(stall.map(|s| s.cycle_class()).unwrap_or(CycleClass::Other))
-        };
-        if let Some(class) = class {
-            let Core { engine, stats, .. } = self;
-            engine.record_cycles(class, 1, stats);
-            if engine.speculating() {
-                stats.counters.cycles_speculating += 1;
-            }
-        }
-        // Mirrors `Core::step`'s progress aggregation; the tick and
-        // deferred-resolution components are the provably-false ones.
-        let progressed = retired > 0
-            || dispatched > 0
-            || issued
-            || drained > 0
-            || finalized
-            || self.engine.speculating() != speculating_before;
-        if progressed {
-            CoreActivity::progressed(retired, class)
-        } else {
-            CoreActivity::quiescent(class, self.wake_hint(now))
-        }
-    }
-
-    /// The per-core batched fast path: executes this core's cycle without
-    /// the stages the [`Core::batch_ready`] proof shows are no-ops, or
-    /// returns `None` if the proof does not hold, in which case the caller
-    /// must run the full [`Core::step`]. A `Some` cycle is byte-identical
-    /// to `step`; like a slow cycle it may queue coherence requests, which
-    /// the caller must route with [`Core::take_requests`] at the same point
-    /// it would for a slow cycle. (It cannot produce replies: those come
-    /// only from delivery handling and deferred resolution, which do not
-    /// run here.)
-    pub fn fast_cycle(&mut self, now: Cycle) -> Option<CoreActivity> {
-        if !self.batch_ready(now) {
-            return None;
-        }
-        Some(self.batch_cycle(now))
     }
 
     /// The earliest future cycle at which this (quiescent) core could act of
@@ -951,222 +867,6 @@ impl Core {
     /// without cloning (the machine's consuming finalisation path).
     pub fn into_parts(self) -> (CoreStats, Vec<(usize, u64)>) {
         (self.stats, self.load_results)
-    }
-
-    /// Attributes a run of `len` identically-classed cycles in bulk —
-    /// [`OrderingEngine::record_cycles`] with the run length, which for a
-    /// leap-transparent engine is exactly `len` per-cycle calls.
-    #[inline]
-    fn flush_cycle_run(&mut self, class: Option<CycleClass>, len: Cycle) {
-        if let Some(class) = class {
-            if len > 0 {
-                let Core { engine, stats, .. } = self;
-                engine.record_cycles(class, len, stats);
-            }
-        }
-    }
-
-    /// The leap kernel's closed-form multi-cycle run: advances this core over
-    /// `[from, until)` without the per-cycle engine virtuals, activity
-    /// aggregation and machine bookkeeping the batched path still pays,
-    /// returning the next cycle to resume at (always past `from`).
-    ///
-    /// Sound only for [`OrderingEngine::leap_transparent`] engines and only
-    /// while the non-engine `batch_ready` terms hold at entry (the
-    /// `step_until` gate). Per cycle it runs exactly the live stages of
-    /// [`Core::batch_cycle`] — drain → issue-from-prefix → retire → dispatch
-    /// → release — through the same code paths, so simulated state, stats,
-    /// histograms and trace emissions are byte-identical; only the
-    /// *attribution mechanics* differ, with equal-class cycle runs flushed in
-    /// bulk via [`OrderingEngine::record_cycles`] (the default
-    /// implementation, which the transparency contract pins, makes that
-    /// exactly n single-cycle calls). The stages the batched path proves
-    /// dead — engine tick, deferred resolution, finalize-while-speculating,
-    /// speculation accounting — are dead here *by the engine contract*, so
-    /// they are not even checked per cycle.
-    ///
-    /// On quiescence the core goes to sleep exactly as the per-cycle path
-    /// would: same stretch start, same class, same wake hint (the ROB head's
-    /// completion cycle — the deferred-deadline and engine-timer terms of
-    /// [`Core::wake_hint`] are vacuous here).
-    fn leap_run(
-        &mut self,
-        from: Cycle,
-        until: Cycle,
-        sleep: &mut Option<CoreSleep>,
-        sink: &mut Vec<(Cycle, FabricInput)>,
-        report: &mut EpochStepReport,
-    ) -> Cycle {
-        debug_assert!(self.leap_ok && self.deferred.is_empty() && self.pending_replies.is_empty());
-        let mut t = from;
-        // Run-length encoded cycle attribution: (class, length) of the
-        // current run of identically-classed cycles.
-        let mut run_class: Option<CycleClass> = None;
-        let mut run_len: Cycle = 0;
-        while t < until {
-            debug_assert!(!self.engine.tick_due(&self.mem, t), "leap contract");
-            debug_assert!(!self.engine.speculating(), "leap contract");
-            self.stats.trace.set_now(t);
-            let drained = if self.mem.sb_empty() {
-                0
-            } else {
-                let Core { mem, engine, stats, .. } = self;
-                let drain_limit = self.cfg.sb_drain_per_cycle;
-                mem.drain_store_buffer(drain_limit, t, &mut stats.counters, |epoch| {
-                    engine.can_drain(epoch)
-                })
-            };
-            let issued = self.issue_stage_from(t, self.issued_prefix.min(self.rob.len()));
-            let (retired, stall) = self.retire_stage(t);
-            let dispatched = self.dispatch_stage();
-            if retired > 0 {
-                // A leap-transparent engine holds no rollback floor, so the
-                // release frontier is exactly the retirement frontier; an
-                // unmoved frontier makes release a no-op, hence the gate.
-                self.source.release(self.retired);
-            }
-            // `finished()` with the speculation term inlined to false.
-            let done = self.rob.is_empty() && self.mem.sb_empty() && self.trace_done();
-            let class = if done {
-                None
-            } else if retired > 0 {
-                Some(CycleClass::Busy)
-            } else {
-                Some(stall.map(|s| s.cycle_class()).unwrap_or(CycleClass::Other))
-            };
-            if class == run_class {
-                run_len += 1;
-            } else {
-                self.flush_cycle_run(run_class, run_len);
-                run_class = class;
-                run_len = 1;
-            }
-            // Route this cycle's requests at the same point the per-cycle
-            // loop would (replies cannot appear: nothing here produces one).
-            let mut emitted = false;
-            if self.mem.requests_pending() {
-                for request in self.mem.drain_requests() {
-                    sink.push((t, FabricInput::Request(request)));
-                }
-                emitted = true;
-            }
-            let progressed = retired > 0 || dispatched > 0 || issued || drained > 0;
-            if progressed || emitted {
-                report.last_progress = Some(t);
-            }
-            if report.finished_at.is_none() && done {
-                report.finished_at = Some(t);
-            }
-            if !progressed {
-                self.flush_cycle_run(run_class, run_len);
-                // wake_hint with the vacuous terms dropped.
-                let wake_at = self.rob.head_complete_at().filter(|&c| c > t);
-                *sleep = Some(CoreSleep { since: t + 1, class, wake_at });
-                return t + 1;
-            }
-            t += 1;
-        }
-        self.flush_cycle_run(run_class, run_len);
-        t
-    }
-
-    /// Steps this core alone over the epoch `[from, until)`, replaying the
-    /// serial kernel's per-core schedule exactly: batched fast cycles when
-    /// `batch` allows and the gate admits, sleep on quiescence, wake at the
-    /// recorded hint (attributing the skipped stretch in bulk, exactly as
-    /// [the serial kernel] does at the moment it re-checks a sleeping core),
-    /// and stay asleep past the horizon when the hint lies beyond it.
-    ///
-    /// With `leap` set (and a [`OrderingEngine::leap_transparent`] engine),
-    /// admitted stretches run through [`Core::leap_run`] instead of one
-    /// `fast_cycle` call per cycle — same simulated behaviour, a fraction of
-    /// the host work per cycle.
-    ///
-    /// Every emission — snoop replies first, then coherence requests, the
-    /// serial routing order within one core's cycle — is appended to `sink`
-    /// tagged with its emission cycle, so the epoch-parallel kernel can
-    /// merge all cores' traffic back into the fabric in the exact serial
-    /// interleaving (cycle-major, core-index-minor). The horizon guarantees
-    /// no delivery can land inside `(from, until)`, so stepping without the
-    /// machine in the loop is exact.
-    pub fn step_until(
-        &mut self,
-        from: Cycle,
-        until: Cycle,
-        batch: bool,
-        leap: bool,
-        sleep: &mut Option<CoreSleep>,
-        sink: &mut Vec<(Cycle, FabricInput)>,
-    ) -> EpochStepReport {
-        let mut report = EpochStepReport::default();
-        let leap = leap && batch && self.leap_ok;
-        let mut t = from;
-        while t < until {
-            if let Some(s) = *sleep {
-                match s.wake_at {
-                    // The hint lands inside the epoch: jump straight to it
-                    // (or wake immediately if it is already due) and
-                    // attribute the skipped stretch, like the serial loop
-                    // does when it re-checks the sleeping core.
-                    Some(w) if w < until => {
-                        let wake_t = w.max(t);
-                        if let Some(class) = s.class {
-                            if wake_t > s.since {
-                                self.absorb_quiescent_cycles(class, wake_t - s.since);
-                            }
-                        }
-                        *sleep = None;
-                        t = wake_t;
-                    }
-                    // Sleeps past the horizon: only a delivery (next epoch)
-                    // can wake it.
-                    _ => break,
-                }
-            }
-            // Leap admission: the non-engine terms of `batch_ready` (the
-            // engine terms hold unconditionally for a leap-transparent
-            // engine). All three stay false across the run — nothing inside
-            // `leap_run` defers snoops, queues replies, or leaves requests
-            // unrouted — so the gate is checked once per run, not per cycle.
-            if leap
-                && self.deferred.is_empty()
-                && self.pending_replies.is_empty()
-                && !self.mem.requests_pending()
-            {
-                t = self.leap_run(t, until, sleep, sink, &mut report);
-                continue;
-            }
-            let activity = match if batch { self.fast_cycle(t) } else { None } {
-                Some(fast) => fast,
-                None => self.step(t),
-            };
-            let emitted_before = sink.len();
-            for reply in self.pending_replies.drain(..) {
-                sink.push((t, FabricInput::Reply(reply)));
-            }
-            for request in self.mem.drain_requests() {
-                sink.push((t, FabricInput::Request(request)));
-            }
-            // Machine-level progress counts emissions too (the serial loop
-            // marks a cycle progressed when it routes traffic), but the
-            // core's own sleep decision depends only on its activity report,
-            // exactly as in the serial per-core phase.
-            if activity.progressed || sink.len() > emitted_before {
-                report.last_progress = Some(t);
-            }
-            if !activity.progressed {
-                *sleep = Some(CoreSleep {
-                    since: t + 1,
-                    class: activity.class,
-                    wake_at: activity.wake_at,
-                });
-            }
-            if report.finished_at.is_none() && self.finished() {
-                report.finished_at = Some(t);
-            }
-            t += 1;
-        }
-        report
     }
 }
 

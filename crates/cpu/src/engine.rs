@@ -110,8 +110,8 @@ impl RetireCtx<'_> {
 
 /// A memory-consistency implementation plugged into a [`crate::Core`].
 ///
-/// Engines are plain timing state and must be [`Send`] so a whole core can
-/// migrate into an epoch-parallel worker thread.
+/// Engines are plain timing state and must be [`Send`] so a whole machine
+/// can move between threads.
 pub trait OrderingEngine: Send {
     /// Human-readable label (matches the paper's bar labels, e.g. "Invisi_rmo").
     fn name(&self) -> String;
@@ -231,8 +231,8 @@ pub trait OrderingEngine: Send {
     /// false only if [`OrderingEngine::tick`], run on this cycle's starting
     /// state, would return no action, open or close no episode, commit
     /// nothing and change no engine state. `false` is thus a proof that
-    /// `tick` is a no-op this cycle, and lets [`crate::Core::fast_cycle`] execute
-    /// the core's cycle without the tick stage; every other engine
+    /// `tick` is a no-op this cycle, and lets [`crate::Core::step`] batch
+    /// the cycle without the tick stage; every other engine
     /// interaction (`try_retire`, `can_drain`, `on_load_issue`, even one
     /// that starts a speculative episode) still runs through the shared
     /// stage code, so engine side effects stay exact either way.
@@ -241,7 +241,7 @@ pub trait OrderingEngine: Send {
     /// core's memory side before the cycle's drain), so an engine whose
     /// maintenance is a commit on a drain condition — the paper's
     /// opportunistic constant-time commit — answers with that condition
-    /// and stays on the fast path on every speculating cycle but the one
+    /// and stays batched on every speculating cycle but the one
     /// the condition first holds. Debug builds check the proof on every
     /// full [`crate::Core::step`] it was made for.
     ///
@@ -254,32 +254,6 @@ pub trait OrderingEngine: Send {
     /// Called once when the simulation ends so any still-provisional state
     /// (an open speculative episode) is folded into the final statistics.
     fn finalize(&mut self, _mem: &mut CoreMem, _stats: &mut CoreStats) {}
-
-    /// Whether the leap kernel may advance a core driven by this engine over
-    /// multi-cycle runs without consulting the engine each cycle. Returning
-    /// `true` is a *standing contract*, stronger than a false
-    /// [`OrderingEngine::tick_due`] — the engine guarantees, for the whole
-    /// run of the simulation:
-    ///
-    /// * `tick` never acts, `tick_due` is always false and `next_wake` is
-    ///   always `None` (no timers, ever);
-    /// * `speculating` is always false and `rollback_floor` always `None`
-    ///   (no checkpoints, no post-retirement speculation, nothing for
-    ///   `finalize` to fold);
-    /// * `can_drain` is always true (no epoch gating of the store buffer);
-    /// * `record_cycles` keeps the default implementation, so attributing a
-    ///   run of n identically-classed cycles in one call is exactly n
-    ///   single-cycle calls.
-    ///
-    /// `try_retire`, `on_load_issue` and `on_external` still run through the
-    /// shared stage code every cycle — the contract only removes the
-    /// *per-cycle bookkeeping* interactions, which is what lets
-    /// [`crate::Core`]'s leap path replay a stretch of cycles with plain
-    /// loops over dense completion state. The conservative default opts an
-    /// engine out; speculative engines must never override it.
-    fn leap_transparent(&self) -> bool {
-        false
-    }
 }
 
 /// A minimal engine that retires everything as soon as it completes, with no
@@ -311,14 +285,8 @@ impl OrderingEngine for FreeRetireEngine {
 
     fn tick_due(&self, _mem: &CoreMem, _now: Cycle) -> bool {
         // No ordering constraints, no timers, no speculation: always a
-        // pass-through for the batched fast path.
+        // pass-through for batching.
         false
-    }
-
-    fn leap_transparent(&self) -> bool {
-        // Stateless and non-speculative: every clause of the leap contract
-        // holds trivially.
-        true
     }
 }
 

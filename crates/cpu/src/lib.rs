@@ -35,7 +35,7 @@ pub mod engine;
 pub mod mem_side;
 pub mod rob;
 
-pub use crate::core::{Core, CoreSleep, EpochStepReport};
+pub use crate::core::{Core, CoreSleep};
 pub use engine::{
     DeferResolution, EngineAction, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
     RetireOutcome,

@@ -98,7 +98,7 @@ impl CoreMem {
     }
 
     /// Like [`CoreMem::take_requests`], but drains in place so the outbox
-    /// keeps its allocation across stepped cycles (the hot kernels route
+    /// keeps its allocation across stepped cycles (the machine loop routes
     /// requests every cycle; `mem::take` would leave a zero-capacity vector
     /// behind and re-allocate on the next emission).
     pub fn drain_requests(&mut self) -> std::vec::Drain<'_, CoherenceRequest> {
@@ -107,7 +107,7 @@ impl CoreMem {
     }
 
     /// True if any coherence request (including pending eviction writebacks)
-    /// is waiting to be routed to the fabric. The batched fast path must see
+    /// is waiting to be routed to the fabric. A batched core cycle must see
     /// an empty outbox: a pending request means the machine-level routing in
     /// `step_cycle` still has work to do this cycle.
     pub fn requests_pending(&mut self) -> bool {

@@ -3,9 +3,9 @@
 //! Completion state is kept structure-of-arrays style: the per-entry payload
 //! (`RobEntry`) lives in one ring, while the completion cycle and the issue
 //! flag live in two parallel rings pushed, popped, squashed and cleared in
-//! lockstep. The leap kernel's horizon queries — "when does the head
-//! complete", "where does the issued prefix end" — then read dense `u64`s /
-//! `bool`s without walking the wide entry structs.
+//! lockstep. The hot per-cycle queries — "when does the head complete",
+//! "is this entry issued" — then read dense `u64`s / `bool`s without walking
+//! the wide entry structs.
 
 use ifence_mem::Ring;
 use ifence_types::{BlockAddr, Cycle, Instruction};
@@ -140,8 +140,7 @@ impl Rob {
     }
 
     /// The `index`-th oldest in-flight instruction (0 = head). A flat-ring
-    /// index computation, used by the batched fast path's incremental
-    /// batchability scan.
+    /// index computation.
     pub fn get(&self, index: usize) -> Option<&RobEntry> {
         self.entries.get(index)
     }
@@ -188,8 +187,8 @@ impl Rob {
         self.issued.get(index).copied().unwrap_or(false)
     }
 
-    /// Completion cycle of the head instruction, if known. This is the leap
-    /// kernel's O(1) horizon query: one dense `u64` read, no entry walk.
+    /// Completion cycle of the head instruction, if known: one dense `u64`
+    /// read, no entry walk (the quiescent core's wake hint).
     pub fn head_complete_at(&self) -> Option<Cycle> {
         self.complete_at(0)
     }
@@ -225,16 +224,6 @@ impl Rob {
     /// Mutable iteration over in-flight instructions oldest-first.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut RobEntry> {
         self.entries.iter_mut()
-    }
-
-    /// Iterates `(entry, complete_at, issued)` oldest-first across the
-    /// parallel rings (`complete_at` is `None` while pending).
-    pub fn status_iter(&self) -> impl Iterator<Item = (&RobEntry, Option<Cycle>, bool)> {
-        self.entries
-            .iter()
-            .zip(self.complete_at.iter())
-            .zip(self.issued.iter())
-            .map(|((e, &c), &i)| (e, Some(c).filter(|&c| c != PENDING), i))
     }
 
     /// Discards every in-flight instruction (pipeline squash), returning how
@@ -338,7 +327,9 @@ mod tests {
         assert_eq!(rob.complete_at(2), None);
         assert!(!rob.is_issued(2));
         assert!(rob.is_issued(1));
-        let statuses: Vec<_> = rob.status_iter().map(|(e, c, i)| (e.dispatch_id, c, i)).collect();
+        let statuses: Vec<_> = (0..rob.len())
+            .map(|i| (rob.get(i).unwrap().dispatch_id, rob.complete_at(i), rob.is_issued(i)))
+            .collect();
         assert_eq!(
             statuses,
             vec![(0, Some(100), true), (1, Some(101), true), (10, None, false), (11, None, false)]

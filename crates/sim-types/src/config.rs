@@ -202,20 +202,6 @@ impl InterconnectConfig {
     pub fn latency(&self, from: usize, to: usize) -> u64 {
         self.hops(from, to) * self.hop_latency
     }
-
-    /// Lower bound, in cycles, between a core emitting a request or reply
-    /// into the fabric and *any* resulting delivery landing at a core.
-    ///
-    /// Two paths set the floor: a request always pays directory occupancy
-    /// before its transaction can schedule anything (even when requester ==
-    /// home and the hop count is zero, e.g. a GetM upgrade of an
-    /// already-shared line that fills without a data fetch), and a snoop
-    /// reply's completion fill always crosses at least one hop (the replier
-    /// is never the requester). The epoch-parallel kernel uses this bound to
-    /// size its safe horizon.
-    pub fn min_crossing_latency(&self) -> u64 {
-        self.hop_latency.min(self.directory_latency)
-    }
 }
 
 /// Policy parameters for post-retirement speculation.
@@ -434,41 +420,13 @@ pub struct MachineConfig {
     /// Force the dense (poll-every-cycle) simulation kernel instead of the
     /// default event-driven one that skips provably quiescent cycles. The two
     /// kernels produce byte-identical results; the dense loop survives as a
-    /// debug reference (also selectable at run time with `IFENCE_DENSE=1`).
+    /// test oracle (also selectable at run time with `IFENCE_DENSE=1`).
     pub dense_kernel: bool,
-    /// Allow the batched execution fast path on top of the event-driven
-    /// kernel: when a single core is awake and its ordering engine reports a
-    /// dead window, runs of non-memory/L1-hit instructions retire in a tight
-    /// loop without per-cycle machine bookkeeping. Batching never changes
-    /// simulated results — all three kernel modes are byte-identical — so it
-    /// defaults to on; `IFENCE_BATCH=0` disables it at run time (the dense
-    /// kernel always ignores it).
-    pub batch_kernel: bool,
-    /// Allow leap execution on top of the batched fast path: cores whose
-    /// ordering engine is leap-transparent (conventional SC/TSO/RMO and the
-    /// free-retire baseline — never the speculative engines) advance over
-    /// multi-cycle runs between fabric events in one call, with
-    /// run-length-encoded cycle attribution, instead of one batched cycle
-    /// per call. Leaping routes the machine through the epoch kernel's
-    /// merge (at any thread count, 1 included) so emissions keep the exact
-    /// serial interleaving; results are byte-identical across all kernel
-    /// modes, so it defaults to on. `IFENCE_LEAP=0` disables it at run time;
-    /// it is inert when `batch_kernel` is off or the dense kernel is forced.
-    pub leap_kernel: bool,
-    /// Number of worker threads the machine's epoch-parallel kernel may use
-    /// to step this one machine's cores concurrently. `1` (the default) runs
-    /// the serial kernels; `>= 2` partitions the cores across
-    /// `std::thread::scope` workers that step independently up to a safe
-    /// horizon and merge their fabric traffic in exact serial order, so
-    /// results stay byte-identical at any thread count. Clamped to the core
-    /// count; the dense debug kernel always runs serially. Overridable at
-    /// run time with `IFENCE_THREADS`.
-    pub machine_threads: usize,
     /// Collect structured trace events (speculation begin/commit/abort, CoV
     /// deferral start/end, store-buffer high-water marks, L2
     /// eviction/recall, DRAM fetch, deadlock diagnostics) during the run.
     /// Tracing never changes any simulated result — the trace stream is a
-    /// pure observation, byte-identical across all nine kernel modes — so it
+    /// pure observation, byte-identical in dense and default mode — so it
     /// defaults to off purely for speed and memory; `IFENCE_TRACE=1`
     /// enables it at run time.
     pub trace: bool,
@@ -505,9 +463,6 @@ impl MachineConfig {
             engine,
             seed: 0x1f3c_e5ee_d00d,
             dense_kernel: false,
-            batch_kernel: true,
-            leap_kernel: true,
-            machine_threads: 1,
             trace: false,
         }
     }
@@ -557,9 +512,6 @@ impl MachineConfig {
         }
         if self.interconnect.retry_interval == 0 {
             return Err(ConfigError::new("retry interval must be non-zero"));
-        }
-        if self.machine_threads == 0 {
-            return Err(ConfigError::new("machine threads must be non-zero"));
         }
         if !self.l2.unbounded() {
             if self.l2.associativity == 0 {
@@ -748,16 +700,6 @@ mod tests {
         });
         assert_rejected("ROB size must be non-zero", |cfg| cfg.core.rob_size = 0);
         assert_rejected("ROB size must be non-zero", |cfg| cfg.core.width = 0);
-        assert_rejected("machine threads must be non-zero", |cfg| cfg.machine_threads = 0);
-    }
-
-    #[test]
-    fn min_crossing_latency_is_the_tighter_of_hop_and_directory() {
-        // Paper torus: a GetM upgrade at its own home node can fill after
-        // directory occupancy alone (8 cycles), well under one hop (100).
-        assert_eq!(InterconnectConfig::paper_torus().min_crossing_latency(), 8);
-        let small = MachineConfig::small_test(EngineKind::Conventional(ConsistencyModel::Sc));
-        assert_eq!(small.interconnect.min_crossing_latency(), 4);
     }
 
     #[test]

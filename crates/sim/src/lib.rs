@@ -11,15 +11,9 @@
 //!   ([`Machine::from_sources`] streams through bounded replay windows;
 //!   [`Machine::new`] adapts pre-materialized programs), and runs them under
 //!   the event-driven simulation kernel, which skips provably quiescent
-//!   cycles (byte-identical to the dense poll-every-cycle debug mode,
+//!   cycles (byte-identical to the dense poll-every-cycle oracle mode,
 //!   `IFENCE_DENSE=1`) and stops immediately with a diagnostic when it
-//!   proves the machine deadlocked. With `machine_threads > 1` (or
-//!   `IFENCE_THREADS`), the same machine runs under the deterministic
-//!   epoch-parallel kernel: cores are partitioned across scoped worker
-//!   threads that step independently to a coherence-derived horizon, and
-//!   emissions are merged back into the fabric in exact serial order, so
-//!   results stay byte-identical at any thread count.
-//!   [`Machine::into_result`] is the
+//!   proves the machine deadlocked. [`Machine::into_result`] is the
 //!   consuming finalisation path that moves (never clones) the per-core
 //!   statistics into the [`machine::MachineResult`].
 //! * [`runner`] — convenience functions that run one
@@ -59,7 +53,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod epoch;
 pub mod figures;
 pub mod machine;
 pub mod persist;

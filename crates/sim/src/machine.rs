@@ -7,77 +7,47 @@
 //! [`ifence_types::CoreActivity`]: whether it changed state and, if not, the
 //! earliest cycle it could act again (a pending completion, a deferred-snoop
 //! deadline, an engine timer — or nothing, meaning it is blocked on the
-//! fabric). Quiescence is exploited at two levels:
+//! fabric). The kernel works at three levels:
 //!
-//! 1. **Per-core sleep** — a core that reports quiescence is not stepped
+//! 1. **Dense stepping** — the reference schedule: every core is stepped on
+//!    every cycle and every stage of [`ifence_cpu::Core::step`] runs. It
+//!    survives only as a test oracle ([`MachineConfig::dense_kernel`] or
+//!    `IFENCE_DENSE=1`), held byte-identical to the default by
+//!    `tests/kernel_equivalence.rs` and `tests/kernel_oracle.rs`.
+//! 2. **Event skipping** — a core that reports quiescence is not stepped
 //!    again until its wake hint comes due or a coherence delivery addressed
 //!    to it arrives; cores interact only through deliveries, so its skipped
 //!    steps are provably no-ops. On wake, the skipped cycles are
 //!    bulk-attributed to the stall class the core reported when it went to
-//!    sleep, so the runtime breakdowns stay exact.
-//! 2. **Whole-machine jump** — when a cycle ends with no deliveries, no new
-//!    requests and every core asleep, `now` advances in one jump to the
-//!    minimum of the fabric's next scheduled event and the cores' wake
-//!    hints.
+//!    sleep, so the runtime breakdowns stay exact. When a cycle ends with no
+//!    deliveries, no new requests and every core asleep, `now` advances in
+//!    one jump to the minimum of the fabric's next scheduled event and the
+//!    cores' wake hints.
+//! 3. **Execution batching** — accelerates the cycles that *are* stepped.
+//!    A full core cycle runs two stages that are usually dead — engine
+//!    maintenance (`tick`) and deferred-snoop resolution — before the live
+//!    drain/issue/retire/dispatch pipeline, and its issue stage rescans the
+//!    whole reorder buffer from position 0. When a cheap per-core gate
+//!    ([`ifence_cpu::Core::batch_ready`]) proves the dead stages are no-ops
+//!    this cycle (no deferred snoops, no pending replies, and an engine
+//!    whose `tick` cannot act — [`ifence_cpu::OrderingEngine::tick_due`]),
+//!    `step` skips them and starts the issue scan at the already-issued
+//!    prefix. The engine term is exact, not merely "not speculating": a
+//!    speculative engine's maintenance is its opportunistic commit, so the
+//!    gate is that commit's drain condition, and a speculating core is
+//!    batched on every cycle except the one its stores have just drained
+//!    on. The dense oracle forces the gate closed.
 //!
-//! Both levels skip only provably quiescent cycles, so the event-driven
-//! schedule produces results byte-identical to dense polling — which
-//! survives as a debug mode ([`MachineConfig::dense_kernel`] or
-//! `IFENCE_DENSE=1`) and is held equivalent by `tests/kernel_equivalence.rs`.
-//!
-//! A third level, **execution batching**, accelerates the cycles that *are*
-//! stepped. A full [`ifence_cpu::Core::step`] runs two stages that are
-//! usually dead — engine maintenance (`tick`) and deferred-snoop resolution
-//! — before the live drain/issue/retire/dispatch pipeline, and its issue
-//! stage rescans the whole reorder buffer from position 0. When a cheap
-//! per-core gate proves the dead stages are no-ops this cycle (no deferred
-//! snoops, no pending replies, and an engine whose `tick` cannot act —
-//! [`ifence_cpu::OrderingEngine::tick_due`]), the core runs a trimmed copy
-//! of the same cycle ([`ifence_cpu::Core::fast_cycle`]): the live stages
-//! through the identical code paths, with the issue scan starting at the
-//! already-issued prefix. The engine term is exact, not merely "not
-//! speculating": a speculative engine's maintenance is its opportunistic
-//! commit, so the gate is that commit's drain condition, and a speculating
-//! core takes the fast path on every cycle except the one its stores have
-//! just drained on. Fast cycles may queue coherence
-//! requests like any other; the machine routes them at the same point in
-//! the same order, so the fabric schedule — and therefore every simulated
-//! result — is byte-identical. Batching is on by default
-//! ([`MachineConfig::batch_kernel`]) and `IFENCE_BATCH=0` disables it; the
-//! dense debug mode ignores it entirely.
+//! Each level skips only provably dead work, so every schedule produces
+//! byte-identical results. Requests a core cycle queues are routed at the
+//! same point whether the cycle was batched or not, so the fabric sees an
+//! identical schedule.
 //!
 //! Quiescence detection gives deadlock detection for free: if no core has a
 //! wake hint and the fabric has nothing scheduled, the simulation can never
 //! progress again, and the machine stops immediately with
 //! [`MachineResult::deadlocked`] set and a per-core diagnostic instead of
 //! spinning to the cycle limit.
-//!
-//! A fourth level, **epoch parallelism** (`crate::epoch`), steps one
-//! machine's cores across threads: with [`MachineConfig::machine_threads`]
-//! `>= 2` (or `IFENCE_THREADS`), the run loop partitions the cores over
-//! `std::thread::scope` workers, each of which steps its cores independently
-//! up to a safe horizon below which no cross-core interaction can land
-//! ([`ifence_coherence::CoherenceFabric::next_interaction_bound`]), then
-//! merges every worker's buffered fabric traffic back in the exact serial
-//! order — so results stay byte-identical to the serial kernels at any
-//! thread count. The dense debug mode always runs serially.
-//!
-//! A fifth level, **leap execution**, accelerates the batched cycles
-//! themselves. A core whose ordering engine is leap-transparent
-//! ([`ifence_cpu::OrderingEngine::leap_transparent`]: no timers, no
-//! speculation, no drain gating — the conventional SC/TSO/RMO engines)
-//! advances over a whole run of cycles between fabric events in one call,
-//! running the identical live stages per cycle but none of the per-cycle
-//! kernel bookkeeping, with equal-class cycle runs attributed in bulk.
-//! Leaping always routes through the epoch kernel's merge — at
-//! `machine_threads == 1` the epoch loop degenerates to one worker and the
-//! merge restores the exact serial emission order — so the fabric sees an
-//! identical schedule and results stay byte-identical. On by default
-//! ([`MachineConfig::leap_kernel`]); `IFENCE_LEAP=0` disables it, and it is
-//! inert whenever batching is (dense mode included). A machine with no
-//! leap-transparent core — the speculative engines — never takes the leap
-//! routing at all: it stays on the serial batched kernel rather than pay
-//! the epoch merge for nothing.
 
 use ifence_coherence::{
     CoherenceFabric, CoherenceRequest, Delivery, EventQueue, FabricConfig, SnoopReply,
@@ -157,32 +127,16 @@ impl MachineResult {
 /// documentation).
 pub struct Machine {
     cfg: MachineConfig,
-    pub(crate) cores: Vec<Core>,
-    pub(crate) fabric: CoherenceFabric,
-    pub(crate) now: Cycle,
-    /// Dense (poll-every-cycle) debug mode, resolved once at construction
+    cores: Vec<Core>,
+    fabric: CoherenceFabric,
+    now: Cycle,
+    /// Dense (poll-every-cycle) oracle mode, resolved once at construction
     /// from the configuration flag and the `IFENCE_DENSE` environment
     /// variable.
     dense: bool,
-    /// Batched execution fast path (see the module documentation), resolved
-    /// once at construction from [`MachineConfig::batch_kernel`] and the
-    /// `IFENCE_BATCH` environment variable. Always false in dense mode.
-    pub(crate) batch: bool,
-    /// Leap execution (see the module documentation), resolved once at
-    /// construction from [`MachineConfig::leap_kernel`], the `IFENCE_LEAP`
-    /// environment variable, and the engine's leap transparency. Requires
-    /// `batch` and at least one leap-transparent core; routes the run loop
-    /// through the epoch kernel at any thread count so emissions merge in
-    /// exact serial order.
-    pub(crate) leap: bool,
-    /// Worker-thread count of the epoch-parallel kernel, resolved once at
-    /// construction from [`MachineConfig::machine_threads`] and the
-    /// `IFENCE_THREADS` environment variable, clamped to the core count.
-    /// `1` = the serial kernels; dense mode always forces 1.
-    pub(crate) threads: usize,
     /// Per-core sleep state: `Some` while the core is quiescent and need not
     /// be stepped (see the module documentation).
-    pub(crate) sleeping: Vec<Option<CoreSleep>>,
+    sleeping: Vec<Option<CoreSleep>>,
     /// Indexed wake dispatch: the ascending-sorted indices of the cores that
     /// are awake (`sleeping[i].is_none()`). The stepping loop walks exactly
     /// these instead of scanning every core each stepped cycle.
@@ -197,7 +151,7 @@ pub struct Machine {
     /// construction so the hot loop pays a plain bool test instead of an
     /// atomic load per phase per cycle. Profiling observes host wall clock
     /// only — it cannot change any simulated result.
-    pub(crate) profiling: bool,
+    profiling: bool,
     /// Reusable buffers for the per-cycle delivery/reply/request routing, so
     /// the hot loop allocates nothing in steady state.
     delivery_buf: Vec<Delivery>,
@@ -258,24 +212,14 @@ impl Machine {
             })
             .collect();
         let dense = cfg.dense_kernel || env_dense_override();
-        let batch = cfg.batch_kernel && !env_batch_disabled() && !dense;
-        // Leaping requires the batched fast path and at least one core whose
-        // engine can actually leap: an all-speculative machine would pay the
-        // epoch loop's merge replay without any closed-form gain, so it
-        // stays on the serial batched kernel (byte-identical either way).
-        let leap = cfg.leap_kernel
-            && !env_leap_disabled()
-            && batch
-            && cores.iter().any(Core::leap_transparent);
-        let threads = if dense {
-            1
-        } else {
-            env_threads_override().unwrap_or(cfg.machine_threads).clamp(1, cores.len())
-        };
-        if cfg.trace || env_trace_override() {
-            for core in &mut cores {
+        let trace = cfg.trace || env_trace_override();
+        for core in &mut cores {
+            core.set_dense(dense);
+            if trace {
                 core.enable_trace(0);
             }
+        }
+        if trace {
             fabric.enable_trace(0);
         }
         let sleeping = vec![None; cores.len()];
@@ -286,9 +230,6 @@ impl Machine {
             fabric,
             now: 0,
             dense,
-            batch,
-            leap,
-            threads,
             sleeping,
             awake,
             wake_wheel: EventQueue::new(),
@@ -300,27 +241,9 @@ impl Machine {
     }
 
     /// True if this machine polls every cycle instead of skipping quiescent
-    /// stretches (the debug reference mode).
+    /// stretches (the test-oracle mode).
     pub fn dense_kernel(&self) -> bool {
         self.dense
-    }
-
-    /// True if this machine runs eligible core cycles through the batched
-    /// execution fast path (see the module documentation).
-    pub fn batch_kernel(&self) -> bool {
-        self.batch
-    }
-
-    /// True if this machine leaps leap-transparent cores over multi-cycle
-    /// runs between fabric events (see the module documentation).
-    pub fn leap_kernel(&self) -> bool {
-        self.leap
-    }
-
-    /// Number of worker threads the epoch-parallel kernel will use for this
-    /// machine (1 = the serial kernels).
-    pub fn machine_threads(&self) -> usize {
-        self.threads
     }
 
     /// The machine configuration.
@@ -364,7 +287,7 @@ impl Machine {
 
     /// Starts a phase timer when the kernel phase profiler is on (the guard
     /// holds no borrow of the machine, so it can bracket `&mut self` work).
-    pub(crate) fn timer(&self, phase: Phase) -> Option<PhaseTimer> {
+    fn timer(&self, phase: Phase) -> Option<PhaseTimer> {
         if self.profiling {
             PhaseProfile::global().start(phase)
         } else {
@@ -384,24 +307,6 @@ impl Machine {
             // in ascending order — the same order as a full scan.
             if let Err(at) = self.awake.binary_search(&idx) {
                 self.awake.insert(at, idx);
-            }
-        }
-    }
-
-    /// Rebuilds the indexed wake dispatch state from `sleeping` (after the
-    /// epoch-parallel kernel reassembles the cores it partitioned out).
-    /// Sleepers' wake hints are rescheduled on the wheel; any entries already
-    /// there go stale and are skipped on pop.
-    pub(crate) fn rebuild_wake_index(&mut self) {
-        self.awake.clear();
-        for (i, sleep) in self.sleeping.iter().enumerate() {
-            match sleep {
-                None => self.awake.push(i),
-                Some(s) => {
-                    if let Some(wake) = s.wake_at {
-                        self.wake_wheel.schedule(wake, i);
-                    }
-                }
             }
         }
     }
@@ -442,7 +347,7 @@ impl Machine {
             // A delivery can queue outgoing traffic directly (an eviction's
             // writeback, a squash's flash-invalidation writebacks). Route it
             // now: the fabric sees it this same cycle either way, and an
-            // empty outbox lets the core take the batched fast path.
+            // empty outbox lets the core's next cycle be batched.
             self.cores[idx].drain_requests_into(&mut self.request_buf);
             for request in self.request_buf.drain(..) {
                 self.fabric.request(request, now);
@@ -466,48 +371,31 @@ impl Machine {
             }
         }
         // Step every awake core, then route its asynchronous replies and new
-        // requests into the fabric. Sleeping cores are provably no-ops this
-        // cycle and are not in the awake index at all: a delivery wakes
-        // exactly its target and a due hint wakes exactly its sleeper, so
-        // the loop below walks only the cores that must be stepped — in
-        // ascending index order, the identical fabric call order to a full
-        // scan. Cores whose engine-maintenance and deferred-resolution
-        // stages are provably dead take the batched fast path
-        // ([`Core::fast_cycle`]): the same cycle through the same stages
-        // minus the dead ones. A fast cycle can queue requests like any
-        // other; they are routed here, at the same point and in the same
-        // order as a slow cycle's, so the fabric sees an identical schedule.
-        // (Fast cycles cannot produce replies — those come only from
-        // delivery handling and deferred resolution.)
+        // requests into the fabric — replies first, then requests, the same
+        // order after every core cycle whether it was batched or not.
+        // Sleeping cores are provably no-ops this cycle and are not in the
+        // awake index at all: a delivery wakes exactly its target and a due
+        // hint wakes exactly its sleeper, so the loop below walks only the
+        // cores that must be stepped — in ascending index order, the
+        // identical fabric call order to a full scan.
         let mut dense_wake = None;
         let mut awake = std::mem::take(&mut self.awake);
         let mut kept = 0;
         for r in 0..awake.len() {
             let i = awake[r];
             let core = &mut self.cores[i];
-            let fast = if self.batch { core.fast_cycle(now) } else { None };
-            let activity = if let Some(activity) = fast {
-                core.drain_requests_into(&mut self.request_buf);
-                for request in self.request_buf.drain(..) {
-                    progressed = true;
-                    self.fabric.request(request, now);
-                }
-                activity
-            } else {
-                let activity = core.step(now);
-                core.drain_replies_into(&mut self.reply_buf);
-                core.drain_requests_into(&mut self.request_buf);
-                if !self.reply_buf.is_empty() || !self.request_buf.is_empty() {
-                    progressed = true;
-                }
-                for reply in self.reply_buf.drain(..) {
-                    self.fabric.respond(reply, now);
-                }
-                for request in self.request_buf.drain(..) {
-                    self.fabric.request(request, now);
-                }
-                activity
-            };
+            let activity = core.step(now);
+            core.drain_replies_into(&mut self.reply_buf);
+            core.drain_requests_into(&mut self.request_buf);
+            if !self.reply_buf.is_empty() || !self.request_buf.is_empty() {
+                progressed = true;
+            }
+            for reply in self.reply_buf.drain(..) {
+                self.fabric.respond(reply, now);
+            }
+            for request in self.request_buf.drain(..) {
+                self.fabric.request(request, now);
+            }
             let mut keep = true;
             if activity.progressed {
                 progressed = true;
@@ -536,7 +424,7 @@ impl Machine {
         drop(timer);
         self.now += 1;
         // The wake hint is only read on no-progress cycles, where (in the
-        // skipping kernels) every core is provably asleep — so folding over
+        // skipping kernel) every core is provably asleep — so folding over
         // the sleep array reproduces exactly the minimum the full scan used
         // to aggregate, without paying for it on progressed cycles.
         let core_wake = if progressed {
@@ -554,19 +442,10 @@ impl Machine {
         self.cores.iter().all(|c| c.finished())
     }
 
-    /// The shared simulation loop: dense stepping after any progressed cycle,
-    /// a single time jump over provably quiescent stretches otherwise (unless
-    /// the dense debug mode is forced). Returns the deadlock verdict. With
-    /// two or more machine threads the epoch-parallel kernel takes over —
-    /// byte-identical by construction (see `crate::epoch`).
+    /// The simulation loop: dense stepping after any progressed cycle, a
+    /// single time jump over provably quiescent stretches otherwise (unless
+    /// the dense oracle mode is forced). Returns the deadlock verdict.
     fn run_loop(&mut self, max_cycles: Cycle) -> (bool, Option<String>) {
-        // Leap execution also routes through the epoch loop at one thread:
-        // its control loop merges each core's independently-emitted traffic
-        // back into the exact serial order, which is what makes multi-cycle
-        // per-core runs safe.
-        if self.threads > 1 || self.leap {
-            return crate::epoch::run_epoch_loop(self, max_cycles);
-        }
         while self.now < max_cycles && !self.all_finished() {
             let outcome = self.step_cycle();
             if outcome.progressed {
@@ -595,7 +474,7 @@ impl Machine {
     }
 
     /// A one-line-per-core snapshot of why nothing can make progress.
-    pub(crate) fn deadlock_snapshot(&self) -> String {
+    fn deadlock_snapshot(&self) -> String {
         let mut out = format!(
             "deadlock at cycle {}: no core can wake and the fabric has no pending events \
              ({} transactions outstanding)",
@@ -718,23 +597,12 @@ pub(crate) fn parse_dense_flag(raw: &str) -> Option<bool> {
 }
 
 /// True when the `IFENCE_DENSE` environment variable requests the dense
-/// (poll-every-cycle) debug kernel. Unrecognised values are treated as unset
+/// (poll-every-cycle) oracle kernel. Unrecognised values are treated as unset
 /// (the warning is printed once, by `ExperimentParams::from_env`, not here —
 /// a sweep constructs many machines).
 fn env_dense_override() -> bool {
     match std::env::var("IFENCE_DENSE") {
         Ok(raw) => parse_dense_flag(&raw).unwrap_or(false),
-        Err(_) => false,
-    }
-}
-
-/// True when the `IFENCE_BATCH` environment variable explicitly disables the
-/// batched execution fast path (`IFENCE_BATCH=0`). The environment can only
-/// turn batching *off* — it is on by default and unrecognised values are
-/// treated as unset, mirroring `IFENCE_DENSE`.
-fn env_batch_disabled() -> bool {
-    match std::env::var("IFENCE_BATCH") {
-        Ok(raw) => parse_dense_flag(&raw) == Some(false),
         Err(_) => false,
     }
 }
@@ -748,26 +616,6 @@ fn env_trace_override() -> bool {
         Ok(raw) => parse_dense_flag(&raw).unwrap_or(false),
         Err(_) => false,
     }
-}
-
-/// True when the `IFENCE_LEAP` environment variable explicitly disables leap
-/// execution (`IFENCE_LEAP=0`). The environment can only turn leaping *off*
-/// — it is on by default and unrecognised values are treated as unset,
-/// mirroring `IFENCE_BATCH`.
-fn env_leap_disabled() -> bool {
-    match std::env::var("IFENCE_LEAP") {
-        Ok(raw) => parse_dense_flag(&raw) == Some(false),
-        Err(_) => false,
-    }
-}
-
-/// The `IFENCE_THREADS` override for the epoch-parallel kernel's worker
-/// count. Zero and unparseable values are treated as unset (the warning is
-/// printed once, by `ExperimentParams::from_env`, not here — a sweep
-/// constructs many machines).
-fn env_threads_override() -> Option<usize> {
-    let raw = std::env::var("IFENCE_THREADS").ok()?;
-    raw.trim().parse::<usize>().ok().filter(|&n| n > 0)
 }
 
 #[cfg(test)]
@@ -872,24 +720,27 @@ mod tests {
 
     #[test]
     fn batched_and_event_kernels_agree_on_a_small_run() {
-        // The batched fast path must be byte-identical to the plain
-        // event-driven kernel (the full matrix lives in
-        // tests/kernel_equivalence.rs; this is the in-crate smoke).
+        // Isolates the batching elision from event skipping: the same
+        // skipping machine loop, once with every core's batching gate forced
+        // closed (plain event-driven stepping) and once as the default
+        // kernel, must be byte-identical. The dense ≡ default matrix in
+        // tests/kernel_equivalence.rs checks both elisions together.
         for engine in [
             EngineKind::Conventional(ConsistencyModel::Sc),
             EngineKind::InvisiSelective(ConsistencyModel::Sc),
         ] {
             let spec = WorkloadSpec::uniform("batch-mode");
-            let batch_cfg = MachineConfig::small_test(engine);
-            let mut event_cfg = MachineConfig::small_test(engine);
-            event_cfg.batch_kernel = false;
-            let programs = spec.generate(batch_cfg.cores, 500, 11);
-            let batched = Machine::new(batch_cfg, programs.clone()).unwrap();
-            let event = Machine::new(event_cfg, programs).unwrap();
-            // Under IFENCE_BATCH=0 or IFENCE_DENSE=1 both machines run the
-            // same kernel and the comparison holds trivially; in the default
-            // environment this really is batched-vs-event.
-            assert!(!event.batch_kernel());
+            let cfg = MachineConfig::small_test(engine);
+            let programs = spec.generate(cfg.cores, 500, 11);
+            let batched = Machine::new(cfg.clone(), programs.clone()).unwrap();
+            let mut event = Machine::new(cfg, programs).unwrap();
+            for core in &mut event.cores {
+                core.set_dense(true);
+            }
+            // Under IFENCE_DENSE=1 both machines run the dense loop and the
+            // comparison holds trivially; in the default environment this
+            // really is batched-vs-event on the skipping loop.
+            assert_eq!(batched.dense_kernel(), event.dense_kernel());
             let batched_result = batched.into_result(5_000_000);
             let event_result = event.into_result(5_000_000);
             assert!(batched_result.finished);
@@ -903,132 +754,24 @@ mod tests {
     }
 
     #[test]
-    fn epoch_parallel_kernel_agrees_with_the_serial_kernels() {
-        // The epoch-parallel kernel must be byte-identical to the serial
-        // batched kernel at every thread count (the full matrix lives in
-        // tests/kernel_equivalence.rs; this is the in-crate smoke).
-        for engine in [
-            EngineKind::Conventional(ConsistencyModel::Sc),
-            EngineKind::InvisiSelective(ConsistencyModel::Sc),
-        ] {
-            let spec = WorkloadSpec::uniform("epoch-mode");
-            let serial_cfg = MachineConfig::small_test(engine);
-            let programs = spec.generate(serial_cfg.cores, 500, 11);
-            let serial = Machine::new(serial_cfg, programs.clone()).unwrap().into_result(5_000_000);
-            assert!(serial.finished);
-            for threads in [2, 4] {
-                let mut cfg = MachineConfig::small_test(engine);
-                cfg.machine_threads = threads;
-                let machine = Machine::new(cfg, programs.clone()).unwrap();
-                let parallel = machine.into_result(5_000_000);
-                assert_eq!(
-                    serial,
-                    parallel,
-                    "{} at {threads} threads: epoch parallelism must be byte-identical",
-                    engine.label()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn epoch_parallel_kernel_reports_deadlocks() {
-        // Same starved-MSHR machine as the serial deadlock test: the epoch
-        // kernel's all-asleep analysis must prove the deadlock instead of
-        // spinning to the cycle limit.
-        let mut cfg = MachineConfig::small_test(EngineKind::Conventional(ConsistencyModel::Sc));
-        cfg.l1.mshrs = 0;
-        cfg.machine_threads = 2;
-        let mut programs = vec![Program::new(); cfg.cores];
-        programs[0].push(ifence_types::Instruction::load(ifence_types::Addr::new(0x4000)));
-        let result = Machine::new(cfg, programs).unwrap().into_result(1_000_000);
-        assert!(result.deadlocked);
-        assert!(result.cycles < 1_000, "detected immediately, not at the cycle limit");
-        let diagnostic = result.deadlock_diagnostic.expect("a diagnostic is recorded");
-        assert!(diagnostic.contains("deadlock at cycle"), "got: {diagnostic}");
-        assert!(diagnostic.contains("core0"), "per-core snapshots included: {diagnostic}");
-    }
-
-    #[test]
-    fn thread_count_is_clamped_and_dense_mode_stays_serial() {
-        let engine = EngineKind::Conventional(ConsistencyModel::Sc);
-        let programs = WorkloadSpec::uniform("threads").generate(4, 50, 2);
-        // More threads than cores degrade to one thread per core (under
-        // IFENCE_DENSE=1 the machine is forced dense and therefore serial;
-        // under IFENCE_THREADS=n the override still clamps to the 4 cores).
-        let mut cfg = MachineConfig::small_test(engine);
-        cfg.machine_threads = 64;
-        let machine = Machine::new(cfg, programs.clone()).unwrap();
-        if machine.dense_kernel() {
-            assert_eq!(machine.machine_threads(), 1);
-        } else {
-            assert!(machine.machine_threads() <= 4 && machine.machine_threads() >= 1);
-            if std::env::var("IFENCE_THREADS").is_err() {
-                assert_eq!(machine.machine_threads(), 4);
-            }
-        }
-        // The dense debug kernel is strictly serial, whatever the config
-        // (and whatever IFENCE_THREADS) asks for.
-        let mut cfg = MachineConfig::small_test(engine);
-        cfg.machine_threads = 4;
-        cfg.dense_kernel = true;
-        let machine = Machine::new(cfg, programs).unwrap();
-        assert_eq!(machine.machine_threads(), 1, "dense debug mode never threads");
-    }
-
-    #[test]
     fn dense_mode_ignores_the_batch_flag() {
-        let mut cfg = MachineConfig::small_test(EngineKind::Conventional(ConsistencyModel::Sc));
-        cfg.dense_kernel = true;
-        assert!(cfg.batch_kernel, "batching defaults on");
-        assert!(cfg.leap_kernel, "leaping defaults on");
+        // The dense oracle forces every core's batching gate closed whatever
+        // the gate's own terms say, so dense ≡ default really checks the
+        // elided stages. A fresh core's gate is otherwise open.
+        let cfg = MachineConfig::small_test(EngineKind::Conventional(ConsistencyModel::Sc));
         let programs = WorkloadSpec::uniform("dense-batch").generate(cfg.cores, 100, 2);
-        let machine = Machine::new(cfg, programs).unwrap();
-        assert!(machine.dense_kernel());
-        assert!(!machine.batch_kernel(), "dense debug mode never batches");
-        assert!(!machine.leap_kernel(), "leaping requires the batched fast path");
-    }
-
-    #[test]
-    fn leap_and_stepped_kernels_agree_on_a_small_run() {
-        // Leap execution must be byte-identical to cycle-by-cycle batched
-        // stepping (the full matrix lives in tests/kernel_equivalence.rs and
-        // tests/leap_oracle.rs; this is the in-crate smoke). One
-        // leap-transparent engine where leaping actually engages, one
-        // speculative engine where machine construction refuses the leap
-        // routing outright (no core could leap, so the epoch merge would be
-        // pure overhead).
-        for engine in [
-            EngineKind::Conventional(ConsistencyModel::Sc),
-            EngineKind::InvisiSelective(ConsistencyModel::Sc),
-        ] {
-            let spec = WorkloadSpec::uniform("leap-mode");
-            let leap_cfg = MachineConfig::small_test(engine);
-            let mut stepped_cfg = MachineConfig::small_test(engine);
-            stepped_cfg.leap_kernel = false;
-            let programs = spec.generate(leap_cfg.cores, 500, 11);
-            let leaping = Machine::new(leap_cfg, programs.clone()).unwrap();
-            let stepped = Machine::new(stepped_cfg, programs).unwrap();
-            // Under IFENCE_LEAP=0 (or a forced dense/batch-off environment)
-            // both machines run the same kernel and the comparison holds
-            // trivially; in the default environment this really is
-            // leap-vs-stepped.
-            assert!(!stepped.leap_kernel());
-            if matches!(engine, EngineKind::InvisiSelective(_)) {
-                assert!(
-                    !leaping.leap_kernel(),
-                    "a machine with no leap-transparent core must not take the epoch routing"
-                );
+        let mut default = Machine::new(cfg.clone(), programs.clone()).unwrap();
+        let mut dense_cfg = cfg;
+        dense_cfg.dense_kernel = true;
+        let mut dense = Machine::new(dense_cfg, programs).unwrap();
+        assert!(dense.dense_kernel());
+        for (i, core) in dense.cores.iter_mut().enumerate() {
+            assert!(!core.batch_ready(0), "core {i}: dense mode never batches");
+        }
+        if !default.dense_kernel() {
+            for (i, core) in default.cores.iter_mut().enumerate() {
+                assert!(core.batch_ready(0), "core {i}: a fresh core's gate is open");
             }
-            let leap_result = leaping.into_result(5_000_000);
-            let stepped_result = stepped.into_result(5_000_000);
-            assert!(leap_result.finished);
-            assert_eq!(
-                leap_result,
-                stepped_result,
-                "{}: leaping must be byte-identical",
-                engine.label()
-            );
         }
     }
 

@@ -25,24 +25,10 @@ pub struct ExperimentParams {
     /// wall-clock time changes). Defaults to the number of available cores;
     /// override with the `IFENCE_JOBS` environment variable.
     pub parallelism: usize,
-    /// Force the dense (poll-every-cycle) debug kernel instead of the
-    /// event-driven one that skips quiescent cycles; results are identical,
-    /// only slower. Settable with `IFENCE_DENSE=1`.
+    /// Force the dense (poll-every-cycle) oracle kernel instead of the
+    /// default one; results are identical, only slower. Settable with
+    /// `IFENCE_DENSE=1`.
     pub dense_kernel: bool,
-    /// Enable the batched execution fast path (on by default; results are
-    /// identical either way, only the wall-clock time changes). Disable with
-    /// `IFENCE_BATCH=0`; ignored when the dense kernel is forced.
-    pub batch_kernel: bool,
-    /// Worker threads used *inside* each simulated machine by the
-    /// epoch-parallel kernel (the result is byte-identical at any value;
-    /// only the wall-clock time changes). Defaults to 1 (serial); override
-    /// with the `IFENCE_THREADS` environment variable. Composes with
-    /// [`ExperimentParams::parallelism`]: a sweep runs up to
-    /// `jobs × machine_threads` OS threads, so [`effective_jobs`] clamps the
-    /// job count when the product would oversubscribe the host.
-    ///
-    /// [`effective_jobs`]: ExperimentParams::effective_jobs
-    pub machine_threads: usize,
     /// Override the shared-L2 capacity in bytes (`None` keeps the machine's
     /// default; `Some(0)` selects the unbounded sentinel). This is how the
     /// L2-capacity sensitivity sweep varies the cache while sharing every
@@ -87,18 +73,6 @@ fn env_parse<T: std::str::FromStr>(lookup: EnvLookup<'_>, name: &str, default: T
     }
 }
 
-/// Clamps a sweep's job count so that `jobs × machine_threads` does not
-/// exceed the host's available parallelism. Returns the effective job count
-/// and whether it was actually reduced. Pure so tests can cover the
-/// arithmetic without depending on the host's core count.
-fn clamp_jobs(jobs: usize, machine_threads: usize, available: usize) -> (usize, bool) {
-    if jobs.saturating_mul(machine_threads) <= available {
-        return (jobs, false);
-    }
-    let fitted = (available / machine_threads).max(1);
-    (fitted.min(jobs), fitted < jobs)
-}
-
 impl Default for ExperimentParams {
     fn default() -> Self {
         ExperimentParams {
@@ -111,8 +85,6 @@ impl Default for ExperimentParams {
             full_machine: true,
             parallelism: available_jobs(),
             dense_kernel: false,
-            batch_kernel: true,
-            machine_threads: 1,
             l2_size_override: None,
         }
     }
@@ -120,13 +92,9 @@ impl Default for ExperimentParams {
 
 impl ExperimentParams {
     /// Parameters for the benchmark harness: the paper-scale machine, with
-    /// the trace length, seed, sweep parallelism and intra-machine thread
-    /// count overridable through the `IFENCE_INSTRS`, `IFENCE_SEED`,
-    /// `IFENCE_JOBS` and `IFENCE_THREADS` environment variables (the last
-    /// two compose: `IFENCE_JOBS` machines run concurrently, each on
-    /// `IFENCE_THREADS` threads, and [`ExperimentParams::effective_jobs`]
-    /// clamps the product to the host). Unparseable values warn on stderr
-    /// and keep the default.
+    /// the trace length, seed and sweep parallelism overridable through the
+    /// `IFENCE_INSTRS`, `IFENCE_SEED` and `IFENCE_JOBS` environment
+    /// variables. Unparseable values warn on stderr and keep the default.
     pub fn from_env() -> Self {
         Self::from_env_with(&process_env)
     }
@@ -139,7 +107,6 @@ impl ExperimentParams {
             env_parse(lookup, "IFENCE_INSTRS", params.instructions_per_core).max(1);
         params.seed = env_parse(lookup, "IFENCE_SEED", params.seed);
         params.parallelism = env_parse(lookup, "IFENCE_JOBS", params.parallelism).max(1);
-        params.machine_threads = env_parse(lookup, "IFENCE_THREADS", params.machine_threads).max(1);
         params.dense_kernel = match lookup("IFENCE_DENSE") {
             Some(raw) => crate::machine::parse_dense_flag(&raw).unwrap_or_else(|| {
                 eprintln!(
@@ -149,16 +116,6 @@ impl ExperimentParams {
                 false
             }),
             None => false,
-        };
-        params.batch_kernel = match lookup("IFENCE_BATCH") {
-            Some(raw) => crate::machine::parse_dense_flag(&raw).unwrap_or_else(|| {
-                eprintln!(
-                    "warning: ignoring unparseable IFENCE_BATCH={raw:?} (expected 0/1); \
-                     using the default"
-                );
-                true
-            }),
-            None => true,
         };
         params
     }
@@ -173,35 +130,8 @@ impl ExperimentParams {
             full_machine: false,
             parallelism: available_jobs(),
             dense_kernel: false,
-            batch_kernel: true,
-            machine_threads: 1,
             l2_size_override: None,
         }
-    }
-
-    /// The worker-thread count sweeps should use (always at least 1).
-    ///
-    /// When every job also runs `machine_threads` intra-machine workers, the
-    /// naive product can oversubscribe the host (e.g. 8 jobs × 4 threads on
-    /// an 8-way box); in that case the job count is clamped so the product
-    /// fits the available parallelism, and a warning is printed once so the
-    /// reduction is never silent.
-    pub fn effective_jobs(&self) -> usize {
-        let (jobs, clamped) =
-            clamp_jobs(self.parallelism.max(1), self.machine_threads.max(1), available_jobs());
-        if clamped {
-            static WARN_ONCE: std::sync::Once = std::sync::Once::new();
-            WARN_ONCE.call_once(|| {
-                eprintln!(
-                    "warning: clamping sweep jobs to {jobs} so that jobs × \
-                     IFENCE_THREADS ({}) fits the {} available hardware threads \
-                     (set IFENCE_JOBS explicitly below the clamp to silence this)",
-                    self.machine_threads,
-                    available_jobs()
-                );
-            });
-        }
-        jobs
     }
 
     /// The complete machine configuration one cell of an experiment runs
@@ -216,8 +146,6 @@ impl ExperimentParams {
         };
         cfg.seed = self.seed;
         cfg.dense_kernel = self.dense_kernel;
-        cfg.batch_kernel = self.batch_kernel;
-        cfg.machine_threads = self.machine_threads;
         if let Some(size) = self.l2_size_override {
             cfg.l2.size_bytes = size;
         }
@@ -321,52 +249,22 @@ mod tests {
         let env = |name: &str| match name {
             "IFENCE_JOBS" => Some("3".to_string()),
             "IFENCE_DENSE" => Some("yes".to_string()),
-            "IFENCE_BATCH" => Some("0".to_string()),
-            "IFENCE_THREADS" => Some("4".to_string()),
             _ => None,
         };
         let p = ExperimentParams::from_env_with(&env);
         assert_eq!(p.parallelism, 3);
         assert!(p.dense_kernel);
-        assert!(!p.batch_kernel);
-        assert_eq!(p.machine_threads, 4);
         let unset = ExperimentParams::from_env_with(&|_| None);
         assert_eq!(unset, ExperimentParams::default());
-        assert!(unset.batch_kernel, "batching is on by default");
-        assert_eq!(unset.machine_threads, 1, "machines are serial by default");
-    }
-
-    #[test]
-    fn machine_threads_reach_the_derived_config() {
-        let env = |name: &str| (name == "IFENCE_THREADS").then(|| "2".to_string());
-        let p = ExperimentParams::from_env_with(&env);
-        let cfg = p.config_for(EngineKind::Conventional(ConsistencyModel::Sc));
-        assert_eq!(cfg.machine_threads, 2);
-        // Zero is treated as "unset", not as an invalid config.
-        let env = |name: &str| (name == "IFENCE_THREADS").then(|| "0".to_string());
-        assert_eq!(ExperimentParams::from_env_with(&env).machine_threads, 1);
-    }
-
-    #[test]
-    fn job_clamping_keeps_the_thread_product_within_the_host() {
-        // 8 jobs × 2 threads on an 8-way host → 4 jobs, reduced.
-        assert_eq!(clamp_jobs(8, 2, 8), (4, true));
-        // Serial machines never clamp.
-        assert_eq!(clamp_jobs(4, 1, 8), (4, false));
-        // More threads than the host has still leaves one job, but that is
-        // not a *reduction* of the requested single job.
-        assert_eq!(clamp_jobs(1, 16, 1), (1, false));
-        // A product that fits exactly is untouched.
-        assert_eq!(clamp_jobs(3, 2, 16), (3, false));
-        assert_eq!(clamp_jobs(4, 4, 16), (4, false));
+        assert!(!unset.dense_kernel, "the default kernel is the default");
+        let zero = |name: &str| (name == "IFENCE_JOBS").then(|| "0".to_string());
+        assert_eq!(ExperimentParams::from_env_with(&zero).parallelism, 1, "zero jobs clamp to 1");
     }
 
     #[test]
     fn unparseable_dense_flag_falls_back() {
         let env = |name: &str| (name == "IFENCE_DENSE").then(|| "maybe".to_string());
         assert!(!ExperimentParams::from_env_with(&env).dense_kernel);
-        let env = |name: &str| (name == "IFENCE_BATCH").then(|| "maybe".to_string());
-        assert!(ExperimentParams::from_env_with(&env).batch_kernel, "falls back to on");
     }
 
     #[test]

@@ -211,7 +211,7 @@ impl<'a> ExperimentMatrix<'a> {
         let hits = slots.iter().filter(|s| s.is_some()).count();
         let misses: Vec<usize> =
             slots.iter().enumerate().filter(|(_, s)| s.is_none()).map(|(i, _)| i).collect();
-        let computed = parallel_map(&misses, params.effective_jobs(), |_, &i| {
+        let computed = parallel_map(&misses, params.parallelism, |_, &i| {
             let (w, e) = cells[i];
             let summary = run_experiment(self.engines[e], &self.workloads[w], params);
             if let (Some(store), Some(key)) = (store, keys[i].as_ref()) {

@@ -12,7 +12,8 @@
 //! `leading_zeros` instruction, so recording is cheap enough to stay *always
 //! on* (unlike trace events, which are opt-in): histograms are part of every
 //! `MachineResult`, and the kernel-equivalence suite holds them to
-//! byte-identity across all nine kernel modes like every other counter.
+//! byte-identity between the dense oracle and the default kernel like every
+//! other counter.
 //! Exact `sum`/`count` accumulators ride along so means stay exact under
 //! [`Log2Hist::merge`], which is elementwise addition and therefore
 //! associative and commutative (the property the histogram tests drive).
@@ -74,8 +75,8 @@ impl Log2Hist {
     /// calling [`Log2Hist::record`] `n` times (bucket, count and sum,
     /// including the sum's saturation behaviour: repeated saturating adds of
     /// a non-negative value and one saturating add of the saturating product
-    /// both pin the sum to `u64::MAX` at the same threshold). The leap
-    /// kernel's bulk-attribution sibling of `record`.
+    /// both pin the sum to `u64::MAX` at the same threshold). The bulk
+    /// sibling of `record`.
     #[inline]
     pub fn record_n(&mut self, value: u64, n: u64) {
         self.buckets[Self::bucket_index(value)] += n;

@@ -1,8 +1,8 @@
 //! A zero-dependency kernel phase profiler.
 //!
 //! The simulation kernel spends its host wall clock in a handful of phases —
-//! stepping cores, stepping the fabric's event queue, routing deliveries,
-//! and (in the epoch-parallel kernel) merging worker traffic. This module
+//! stepping cores, stepping the fabric's event queue, and routing
+//! deliveries, replies and requests between them. This module
 //! accumulates per-phase wall-clock time into process-global atomics so the
 //! ablation benches and the CLI can report *where* the host time goes, not
 //! just how much of it there is.
@@ -11,8 +11,8 @@
 //! would-be measurement when off. It is enabled by the `IFENCE_PROFILE`
 //! environment variable (`1`/`true`/`yes`; read once, at first use) or
 //! forced programmatically with [`PhaseProfile::set_enabled`] (benches and
-//! the profiler's own tests). The accumulators are global because the epoch
-//! kernel's phases run on worker threads and sweeps construct many machines;
+//! the profiler's own tests). The accumulators are global because sweeps
+//! construct many machines on many worker threads;
 //! [`PhaseProfile::snapshot`] plus [`ProfileSnapshot::delta`] scope a
 //! measurement to one run.
 //!
@@ -27,21 +27,17 @@ use std::time::Instant;
 /// The kernel phases the profiler distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Stepping cores (both the full and the batched fast path).
+    /// Stepping cores (full and batched cycles alike).
     CoreStep,
     /// Stepping the coherence fabric's event queue (`step_into`).
     FabricStep,
     /// Routing deliveries, replies and requests between cores and fabric.
     DeliveryRouting,
-    /// The epoch-parallel kernel's merge of worker traffic back into the
-    /// serial order (zero in the serial kernels).
-    Merge,
 }
 
 impl Phase {
     /// Every phase, in reporting order.
-    pub const ALL: [Phase; 4] =
-        [Phase::CoreStep, Phase::FabricStep, Phase::DeliveryRouting, Phase::Merge];
+    pub const ALL: [Phase; 3] = [Phase::CoreStep, Phase::FabricStep, Phase::DeliveryRouting];
 
     /// Stable lower-case label (report columns, JSON field suffixes).
     pub fn label(self) -> &'static str {
@@ -49,7 +45,6 @@ impl Phase {
             Phase::CoreStep => "core_step",
             Phase::FabricStep => "fabric_step",
             Phase::DeliveryRouting => "delivery_routing",
-            Phase::Merge => "merge",
         }
     }
 
@@ -58,7 +53,6 @@ impl Phase {
             Phase::CoreStep => 0,
             Phase::FabricStep => 1,
             Phase::DeliveryRouting => 2,
-            Phase::Merge => 3,
         }
     }
 }
@@ -66,8 +60,8 @@ impl Phase {
 /// The process-global phase accumulators (see the module documentation).
 pub struct PhaseProfile {
     enabled: AtomicBool,
-    nanos: [AtomicU64; 4],
-    counts: [AtomicU64; 4],
+    nanos: [AtomicU64; 3],
+    counts: [AtomicU64; 3],
 }
 
 static GLOBAL: OnceLock<PhaseProfile> = OnceLock::new();
@@ -152,8 +146,8 @@ impl Drop for PhaseTimer {
 /// A point-in-time copy of the phase accumulators.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfileSnapshot {
-    nanos: [u64; 4],
-    counts: [u64; 4],
+    nanos: [u64; 3],
+    counts: [u64; 3],
 }
 
 impl ProfileSnapshot {
@@ -218,11 +212,11 @@ mod tests {
         let before = p.snapshot();
         p.record(Phase::FabricStep, 1_500_000);
         p.record(Phase::FabricStep, 500_000);
-        p.record(Phase::Merge, 250_000);
+        p.record(Phase::DeliveryRouting, 250_000);
         let d = p.snapshot().delta(&before);
         assert_eq!(d.nanos(Phase::FabricStep), 2_000_000);
         assert_eq!(d.count(Phase::FabricStep), 2);
-        assert_eq!(d.nanos(Phase::Merge), 250_000);
+        assert_eq!(d.nanos(Phase::DeliveryRouting), 250_000);
         assert_eq!(d.nanos(Phase::CoreStep), 0);
         assert_eq!(d.total_nanos(), 2_250_000);
         assert!((d.millis(Phase::FabricStep) - 2.0).abs() < 1e-9);

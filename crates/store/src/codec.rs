@@ -341,9 +341,6 @@ impl JsonCodec for MachineConfig {
             ("engine", self.engine.to_json()),
             ("seed", uint(self.seed)),
             ("dense_kernel", Json::Bool(self.dense_kernel)),
-            ("batch_kernel", Json::Bool(self.batch_kernel)),
-            ("leap_kernel", Json::Bool(self.leap_kernel)),
-            ("machine_threads", us(self.machine_threads)),
             ("trace", Json::Bool(self.trace)),
         ])
     }
@@ -362,9 +359,6 @@ impl JsonCodec for MachineConfig {
             engine: f.decode("engine")?,
             seed: f.u64("seed")?,
             dense_kernel: f.bool("dense_kernel")?,
-            batch_kernel: f.bool("batch_kernel")?,
-            leap_kernel: f.bool("leap_kernel")?,
-            machine_threads: f.usize("machine_threads")?,
             trace: f.bool("trace")?,
         })
     }

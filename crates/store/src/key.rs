@@ -6,12 +6,10 @@
 //! buffer, speculation policy, latencies, seed), the workload recipe, the
 //! trace budget and the cycle limit, plus [`SCHEMA_VERSION`]. Anything
 //! *proven* not to affect results is normalized out: the kernel mode
-//! (`dense_kernel` / `batch_kernel` / `leap_kernel`, byte-identical by
-//! `tests/kernel_equivalence.rs`), the intra-machine thread count
-//! (`machine_threads`, byte-identical by the same suite) and the sweep
-//! parallelism (never part of the config) do not reach the hash, so
-//! dense-mode debug runs, event-driven runs, batched runs and epoch-parallel
-//! runs all share cache entries.
+//! (`dense_kernel`, byte-identical by `tests/kernel_equivalence.rs`), the
+//! trace flag (a pure observation) and the sweep parallelism (never part of
+//! the config) do not reach the hash, so dense-oracle runs and default runs
+//! share cache entries.
 //!
 //! The full key JSON is stored alongside each entry and compared on lookup,
 //! so a 64-bit hash collision degrades to a cache miss, never to a wrong
@@ -46,7 +44,11 @@ use ifence_workloads::Workload;
 /// v6: `MachineConfig` gained `leap_kernel` (serialized layout change; the
 /// flag itself is normalized out of keys like the other kernel flags,
 /// because leap execution is byte-identical by `tests/kernel_equivalence.rs`).
-pub const SCHEMA_VERSION: u64 = 6;
+///
+/// v7: one kernel — `MachineConfig` lost `batch_kernel`, `leap_kernel` and
+/// `machine_threads` (serialized layout change; simulated results are
+/// unchanged).
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// FNV-1a over a byte string (the store's only hash; deterministic across
 /// platforms and runs, unlike `std`'s `DefaultHasher`). Re-exported from
@@ -66,9 +68,8 @@ pub struct CellKey {
 impl CellKey {
     /// Builds the key for one cell. `machine` must already carry the run's
     /// seed and engine (as produced by the experiment runner); its
-    /// `dense_kernel` / `batch_kernel` flags and `machine_threads` count are
-    /// normalized before hashing because every kernel mode and thread count
-    /// produces byte-identical results.
+    /// `dense_kernel` and `trace` flags are normalized before hashing because
+    /// neither changes any simulated result.
     pub fn new(
         machine: &MachineConfig,
         workload: &Workload,
@@ -77,9 +78,6 @@ impl CellKey {
     ) -> Self {
         let mut machine = machine.clone();
         machine.dense_kernel = false;
-        machine.batch_kernel = true;
-        machine.leap_kernel = true;
-        machine.machine_threads = 1;
         machine.trace = false;
         let doc = Json::Object(vec![
             ("schema".to_string(), Json::UInt(SCHEMA_VERSION)),
@@ -158,39 +156,6 @@ mod tests {
         cfg.dense_kernel = true;
         let dense = CellKey::new(&cfg, &presets::barnes().into(), 500, 1_000_000);
         assert_eq!(sparse, dense, "kernel mode is proven byte-identical; keys must match");
-    }
-
-    #[test]
-    fn batch_kernel_flag_is_normalized_out() {
-        let engine = EngineKind::Conventional(ConsistencyModel::Sc);
-        let mut cfg = MachineConfig::small_test(engine);
-        cfg.seed = 7;
-        let batched = CellKey::new(&cfg, &presets::barnes().into(), 500, 1_000_000);
-        cfg.batch_kernel = false;
-        let event = CellKey::new(&cfg, &presets::barnes().into(), 500, 1_000_000);
-        assert_eq!(batched, event, "batching is proven byte-identical; keys must match");
-    }
-
-    #[test]
-    fn leap_kernel_flag_is_normalized_out() {
-        let engine = EngineKind::Conventional(ConsistencyModel::Sc);
-        let mut cfg = MachineConfig::small_test(engine);
-        cfg.seed = 7;
-        let leaping = CellKey::new(&cfg, &presets::barnes().into(), 500, 1_000_000);
-        cfg.leap_kernel = false;
-        let stepped = CellKey::new(&cfg, &presets::barnes().into(), 500, 1_000_000);
-        assert_eq!(leaping, stepped, "leaping is proven byte-identical; keys must match");
-    }
-
-    #[test]
-    fn machine_threads_is_normalized_out() {
-        let engine = EngineKind::Conventional(ConsistencyModel::Sc);
-        let mut cfg = MachineConfig::small_test(engine);
-        cfg.seed = 7;
-        let serial = CellKey::new(&cfg, &presets::barnes().into(), 500, 1_000_000);
-        cfg.machine_threads = 4;
-        let parallel = CellKey::new(&cfg, &presets::barnes().into(), 500, 1_000_000);
-        assert_eq!(serial, parallel, "thread count is proven byte-identical; keys must match");
     }
 
     #[test]

@@ -1,23 +1,16 @@
-//! Five-way kernel equivalence: the event-driven simulation kernel skips
-//! cycles only when they are provably no-ops, the batched execution fast
-//! path elides a stepped cycle's maintenance stages only when they are
-//! provably dead, the epoch-parallel kernel steps disjoint core partitions
-//! concurrently only up to a horizon the coherence fabric proves
-//! interaction-free, and leap execution advances leap-transparent cores
-//! over whole event-free runs in one streamlined loop — so for every
-//! ordering engine and workload all five schedules (dense, event-driven,
-//! batched, leap, epoch-parallel at any thread count, with and without
-//! leaping) must produce byte-identical [`MachineResult`]s — cycle counts,
-//! per-core counters, runtime breakdowns and retired-load values alike.
+//! Kernel equivalence: the default kernel skips cycles only when they are
+//! provably no-ops (event skipping) and elides a stepped cycle's
+//! maintenance stages only when they are provably dead (batching), so for
+//! every ordering engine and workload it must produce a [`MachineResult`]
+//! byte-identical to the dense oracle, which steps every core every cycle
+//! through every stage — cycle counts, per-core counters, runtime
+//! breakdowns and retired-load values alike.
 //!
-//! This is the safety net for the whole quiescence analysis, for the
-//! batching contract, for the leap-transparency contract, and for the
-//! epoch-parallel merge order: any wake hint that fires too late, any state
-//! change the activity report misses, any mis-attributed skipped cycle, any
-//! fast cycle whose elided stages were not actually dead, any cycle-run
-//! attribution a leap flushes wrongly, or any cross-thread emission merged
-//! into the fabric out of serial order shows up here as a field-level
-//! mismatch.
+//! This is the safety net for the whole quiescence analysis and for the
+//! batching gate: any wake hint that fires too late, any state change the
+//! activity report misses, any mis-attributed skipped cycle, or any batched
+//! cycle whose elided stages were not actually dead shows up here as a
+//! field-level mismatch.
 
 use ifence_sim::{Machine, MachineResult};
 use invisifence_repro::prelude::*;
@@ -25,129 +18,50 @@ use invisifence_repro::prelude::*;
 const MAX_CYCLES: u64 = 30_000_000;
 const INSTRUCTIONS: usize = 900;
 
-/// The kernel schedules held to byte-identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KernelMode {
-    /// Poll every core every cycle (the debug reference).
-    Dense,
-    /// Skip provably quiescent cycles; no batching.
-    Event,
-    /// Event-driven plus the per-core batched fast path.
-    Batched,
-    /// Batched plus leap execution (serially: the epoch loop at one thread).
-    Leap,
-    /// Batched, with cores partitioned across this many worker threads
-    /// stepping epoch-synchronously. Leaping off.
-    EpochParallel(usize),
-    /// Epoch-parallel with leap execution inside each worker's epochs.
-    LeapEpoch(usize),
-}
-
-impl KernelMode {
-    const ALL: [KernelMode; 9] = [
-        KernelMode::Dense,
-        KernelMode::Event,
-        KernelMode::Batched,
-        KernelMode::Leap,
-        KernelMode::EpochParallel(1),
-        KernelMode::EpochParallel(2),
-        KernelMode::EpochParallel(4),
-        KernelMode::LeapEpoch(2),
-        KernelMode::LeapEpoch(4),
-    ];
-
-    fn apply(self, cfg: &mut MachineConfig) {
-        cfg.machine_threads = 1;
-        cfg.leap_kernel = false;
-        match self {
-            KernelMode::Dense => {
-                cfg.dense_kernel = true;
-                cfg.batch_kernel = false;
-            }
-            KernelMode::Event => {
-                cfg.dense_kernel = false;
-                cfg.batch_kernel = false;
-            }
-            KernelMode::Batched => {
-                cfg.dense_kernel = false;
-                cfg.batch_kernel = true;
-            }
-            KernelMode::Leap => {
-                cfg.dense_kernel = false;
-                cfg.batch_kernel = true;
-                cfg.leap_kernel = true;
-            }
-            KernelMode::EpochParallel(threads) => {
-                cfg.dense_kernel = false;
-                cfg.batch_kernel = true;
-                cfg.machine_threads = threads;
-            }
-            KernelMode::LeapEpoch(threads) => {
-                cfg.dense_kernel = false;
-                cfg.batch_kernel = true;
-                cfg.leap_kernel = true;
-                cfg.machine_threads = threads;
-            }
-        }
-    }
-}
-
 /// Every engine kind the simulator implements ([`EngineKind::all`]), so a
 /// newly added kind is held to the equivalence guarantee automatically.
 fn engines() -> Vec<EngineKind> {
     EngineKind::all().to_vec()
 }
 
-fn run_with_kernel(engine: EngineKind, workload: &WorkloadSpec, mode: KernelMode) -> MachineResult {
+fn run_with_kernel(engine: EngineKind, workload: &WorkloadSpec, dense: bool) -> MachineResult {
     let mut cfg = MachineConfig::small_test(engine);
-    mode.apply(&mut cfg);
+    cfg.dense_kernel = dense;
     let programs = workload.generate(cfg.cores, INSTRUCTIONS, cfg.seed);
     Machine::new(cfg, programs).expect("valid config").into_result(MAX_CYCLES)
 }
 
-/// Compares one alternative schedule against the dense reference field by
-/// field, so a mismatch names the offending part before the full structural
-/// equality check.
-fn assert_matches_reference(
+/// Compares the default kernel against the dense oracle field by field, so
+/// a mismatch names the offending part before the full structural equality
+/// check.
+fn assert_matches_oracle(
     dense: &MachineResult,
-    other: &MachineResult,
-    mode: KernelMode,
+    default: &MachineResult,
     engine: EngineKind,
     workload: &str,
 ) {
     let label = engine.label();
-    assert_eq!(
-        dense.cycles, other.cycles,
-        "{label} on {workload}: {mode:?} cycle count diverges from dense"
-    );
-    for (core, (d, o)) in dense.per_core.iter().zip(&other.per_core).enumerate() {
+    assert_eq!(dense.cycles, default.cycles, "{label} on {workload}: cycle count diverges");
+    for (core, (d, o)) in dense.per_core.iter().zip(&default.per_core).enumerate() {
         assert_eq!(
             d.breakdown, o.breakdown,
-            "{label} on {workload}: {mode:?} core {core} breakdown diverges"
+            "{label} on {workload}: core {core} breakdown diverges"
         );
-        assert_eq!(
-            d.counters, o.counters,
-            "{label} on {workload}: {mode:?} core {core} counters diverge"
-        );
+        assert_eq!(d.counters, o.counters, "{label} on {workload}: core {core} counters diverge");
     }
     assert_eq!(
-        dense.load_results, other.load_results,
-        "{label} on {workload}: {mode:?} retired-load values diverge"
+        dense.load_results, default.load_results,
+        "{label} on {workload}: retired-load values diverge"
     );
     // …then require full structural equality (finished, deadlocked, label).
-    assert_eq!(dense, other, "{label} on {workload}: {mode:?} results diverge");
+    assert_eq!(dense, default, "{label} on {workload}: results diverge");
 }
 
 fn assert_equivalent(engine: EngineKind, workload: &WorkloadSpec) {
-    let dense = run_with_kernel(engine, workload, KernelMode::Dense);
+    let dense = run_with_kernel(engine, workload, true);
     assert!(dense.finished, "{} on {} did not finish", engine.label(), workload.name);
-    for mode in KernelMode::ALL {
-        if mode == KernelMode::Dense {
-            continue;
-        }
-        let other = run_with_kernel(engine, workload, mode);
-        assert_matches_reference(&dense, &other, mode, engine, &workload.name);
-    }
+    let default = run_with_kernel(engine, workload, false);
+    assert_matches_oracle(&dense, &default, engine, &workload.name);
 }
 
 #[test]
@@ -175,14 +89,10 @@ fn litmus_runs_are_equivalent_across_kernels() {
         ("message-passing", LitmusTest::message_passing(15, true)),
         ("iriw", LitmusTest::iriw(15, false)),
     ] {
-        for engine in [
-            EngineKind::Conventional(ConsistencyModel::Sc),
-            EngineKind::InvisiContinuous { commit_on_violate: true },
-            EngineKind::Aso(ConsistencyModel::Sc),
-        ] {
-            let run = |mode: KernelMode| {
+        for engine in engines() {
+            let run = |dense: bool| {
                 let mut cfg = MachineConfig::small_test(engine);
-                mode.apply(&mut cfg);
+                cfg.dense_kernel = dense;
                 cfg.seed = 1;
                 let mut programs = test.programs().to_vec();
                 while programs.len() < cfg.cores {
@@ -190,52 +100,33 @@ fn litmus_runs_are_equivalent_across_kernels() {
                 }
                 Machine::new(cfg, programs).expect("valid config").into_result(MAX_CYCLES)
             };
-            let dense = run(KernelMode::Dense);
+            let dense = run(true);
             assert!(dense.finished, "{} on {name} did not finish", engine.label());
-            for mode in KernelMode::ALL {
-                if mode == KernelMode::Dense {
-                    continue;
-                }
-                let other = run(mode);
-                assert_eq!(dense, other, "{} on {name}: {mode:?} results diverge", engine.label());
-            }
-        }
-    }
-}
-
-#[test]
-fn epoch_parallel_runs_are_repeat_deterministic() {
-    // Byte-identity to dense already implies determinism, but this test
-    // fails more legibly if a data race ever slips in: the same 4-thread
-    // run, executed three times, must reproduce itself exactly.
-    let workload = presets::apache();
-    let engine = EngineKind::InvisiSelective(ConsistencyModel::Sc);
-    for mode in [KernelMode::EpochParallel(4), KernelMode::LeapEpoch(4)] {
-        let reference = run_with_kernel(engine, &workload, mode);
-        assert!(reference.finished);
-        for repeat in 1..3 {
-            let again = run_with_kernel(engine, &workload, mode);
-            assert_eq!(reference, again, "repeat {repeat} of the same {mode:?} run diverges");
+            assert_matches_oracle(&dense, &run(false), engine, name);
         }
     }
 }
 
 #[test]
 fn all_modes_are_distinct_configurations() {
-    // Guard against the modes silently collapsing into one another (e.g. a
-    // future refactor making batch_kernel imply dense_kernel). Note
-    // EpochParallel(1) intentionally shares Batched's configuration: one
-    // worker thread is the serial batched kernel.
-    let mut seen = Vec::new();
-    for mode in KernelMode::ALL {
-        if mode == KernelMode::EpochParallel(1) {
-            continue;
-        }
-        let mut cfg = MachineConfig::small_test(EngineKind::Conventional(ConsistencyModel::Sc));
-        mode.apply(&mut cfg);
-        let fingerprint =
-            (cfg.dense_kernel, cfg.batch_kernel, cfg.leap_kernel, cfg.machine_threads);
-        assert!(!seen.contains(&fingerprint), "{mode:?} duplicates another mode");
-        seen.push(fingerprint);
+    // Guard against the two schedules silently collapsing into one (e.g. a
+    // refactor turning the dense oracle on by default), which would make
+    // every check in this file dense-vs-dense.
+    for engine in engines() {
+        let config = |dense: bool| {
+            let mut cfg = MachineConfig::small_test(engine);
+            cfg.dense_kernel = dense;
+            cfg
+        };
+        assert!(!MachineConfig::small_test(engine).dense_kernel, "the default kernel is not dense");
+        assert_ne!(config(true), config(false), "{}: the modes collapse", engine.label());
+        let cfg = config(true);
+        let programs = presets::barnes().generate(cfg.cores, 10, cfg.seed);
+        let machine = Machine::new(cfg, programs).expect("valid config");
+        assert!(
+            machine.dense_kernel(),
+            "{}: the dense flag must reach the machine",
+            engine.label()
+        );
     }
 }

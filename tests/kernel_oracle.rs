@@ -1,18 +1,18 @@
-//! Leap-horizon oracle: a property test that holds leap execution to
-//! byte-identity against cycle-by-cycle stepping on *randomly parameterised*
-//! machines, not just the curated presets.
+//! Kernel oracle: a property test that holds the default kernel (event
+//! skipping plus execution batching) to byte-identity against the dense
+//! oracle on *randomly parameterised* machines, not just the curated
+//! presets.
 //!
 //! Each case draws a fresh workload shape (memory mix, contention, working
-//! set, burstiness), seed and thread count from a seeded generator, then runs
-//! the identical machine twice — once with `leap_kernel` enabled, once
-//! stepping every cycle through the batched kernel — and requires the two
-//! runs to agree on the entire traced [`MachineResult`]: cycle counts,
-//! per-core counters and breakdowns, retired-load values, histograms, and
-//! the full JSONL trace stream. Engines rotate through every implemented
-//! kind, so the oracle covers both the leap-transparent engines (where the
-//! closed-form advancement actually engages) and the speculative ones (where
-//! the per-core gate must correctly refuse to leap while the machine still
-//! routes through the epoch merge).
+//! set, burstiness) and seed from a seeded generator, then runs the
+//! identical machine twice — once under the dense oracle, which steps every
+//! core every cycle through every stage, once under the default kernel —
+//! and requires the two runs to agree on the entire traced
+//! [`MachineResult`]: cycle counts, per-core counters and breakdowns,
+//! retired-load values, histograms, and the full JSONL trace stream.
+//! Engines rotate through every implemented kind, so both the conventional
+//! engines (batched on every stepped cycle) and the speculative ones (whose
+//! gate must refuse exactly the commit and deferral cycles) are covered.
 
 use ifence_sim::{Machine, MachineResult};
 use ifence_stats::MachineTrace;
@@ -21,7 +21,7 @@ use ifence_workloads::TraceRng;
 use invisifence_repro::prelude::*;
 
 const MAX_CYCLES: u64 = 30_000_000;
-const CASES: usize = 24;
+const CASES: usize = 28;
 
 /// A uniform draw in `[0, 1)` from the workload generator's own RNG.
 fn unit(rng: &mut TraceRng) -> f64 {
@@ -57,20 +57,18 @@ fn run(
     spec: &WorkloadSpec,
     instructions: usize,
     seed: u64,
-    threads: usize,
-    leap: bool,
+    dense: bool,
 ) -> (MachineResult, MachineTrace) {
     let mut cfg = MachineConfig::small_test(engine);
     cfg.seed = seed;
-    cfg.machine_threads = threads;
-    cfg.leap_kernel = leap;
+    cfg.dense_kernel = dense;
     cfg.trace = true;
     let programs = spec.generate(cfg.cores, instructions, cfg.seed);
     Machine::new(cfg, programs).expect("valid config").into_result_with_trace(MAX_CYCLES)
 }
 
 #[test]
-fn leaping_is_byte_identical_to_stepping_on_random_machines() {
+fn default_kernel_is_byte_identical_to_dense_on_random_machines() {
     let engines = EngineKind::all();
     let mut rng = TraceRng::seed_from_u64(0x1ea9_0c1e_5eed);
     for case in 0..CASES {
@@ -78,20 +76,19 @@ fn leaping_is_byte_identical_to_stepping_on_random_machines() {
         let engine = engines[case % engines.len()];
         let instructions = range(&mut rng, 200, 900);
         let seed = rng.next_u64();
-        let threads = [1, 1, 2, 4][range(&mut rng, 0, 3)];
         let label = format!(
-            "case {case}: {} on {} ({instructions} instrs, seed {seed:#x}, {threads} threads)",
+            "case {case}: {} on {} ({instructions} instrs, seed {seed:#x})",
             engine.label(),
             spec.name
         );
-        let (stepped, stepped_trace) = run(engine, &spec, instructions, seed, threads, false);
-        let (leaped, leaped_trace) = run(engine, &spec, instructions, seed, threads, true);
-        assert!(stepped.finished, "{label}: stepped run did not finish");
-        assert_eq!(stepped, leaped, "{label}: leap execution changed the simulated result");
+        let (dense, dense_trace) = run(engine, &spec, instructions, seed, true);
+        let (default, default_trace) = run(engine, &spec, instructions, seed, false);
+        assert!(dense.finished, "{label}: dense run did not finish");
+        assert_eq!(dense, default, "{label}: the default kernel changed the simulated result");
         assert_eq!(
-            trace_to_jsonl(&stepped_trace),
-            trace_to_jsonl(&leaped_trace),
-            "{label}: leap execution changed the trace stream"
+            trace_to_jsonl(&dense_trace),
+            trace_to_jsonl(&default_trace),
+            "{label}: the default kernel changed the trace stream"
         );
     }
 }

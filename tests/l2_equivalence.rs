@@ -59,24 +59,22 @@ const GOLDEN_CYCLES: [(&str, &str, u64); 28] = [
     ("ASOrmo", "Apache", 1431),
 ];
 
-fn run_with_leap(
+fn run_with_kernel(
     engine: EngineKind,
     workload: &WorkloadSpec,
     l2_size_bytes: usize,
-    leap: bool,
+    dense: bool,
 ) -> MachineResult {
     let mut cfg = MachineConfig::small_test(engine);
     cfg.l2.size_bytes = l2_size_bytes;
-    cfg.leap_kernel = leap;
+    cfg.dense_kernel = dense;
     let programs = workload.generate(cfg.cores, INSTRUCTIONS, cfg.seed);
     Machine::new(cfg, programs).expect("valid config").into_result(MAX_CYCLES)
 }
 
-/// The default run uses leap execution (the production configuration), so
-/// every golden comparison below also pins the leap kernel to the
-/// pre-refactor fabric's cycle counts.
+/// The default kernel (the production configuration).
 fn run(engine: EngineKind, workload: &WorkloadSpec, l2_size_bytes: usize) -> MachineResult {
-    run_with_leap(engine, workload, l2_size_bytes, true)
+    run_with_kernel(engine, workload, l2_size_bytes, false)
 }
 
 #[test]
@@ -128,19 +126,19 @@ fn finite_l2_that_fits_the_working_set_is_byte_identical_to_unbounded() {
 }
 
 #[test]
-fn leap_execution_is_byte_identical_across_l2_capacities() {
-    // Leap legs: capacity pressure exercises eviction/recall deliveries that
-    // interrupt leap-eligible runs mid-flight, so both an unbounded and a
-    // pressured L2 must produce the same MachineResult with leaping on and
-    // off.
+fn dense_and_default_kernels_agree_across_l2_capacities() {
+    // Capacity pressure exercises the eviction and recall deliveries that
+    // wake sleeping cores and close the batching gate mid-run, so both an
+    // unbounded and a pressured L2 must produce the same MachineResult under
+    // the dense oracle and the default kernel.
     for engine in EngineKind::all() {
         for (l2_size, tier) in [(0, "unbounded"), (16 * 1024, "16KB")] {
-            let leap = run_with_leap(engine, &presets::apache(), l2_size, true);
-            let stepped = run_with_leap(engine, &presets::apache(), l2_size, false);
+            let dense = run_with_kernel(engine, &presets::apache(), l2_size, true);
+            let default = run_with_kernel(engine, &presets::apache(), l2_size, false);
             assert_eq!(
-                leap,
-                stepped,
-                "{}/Apache@{tier}: leap execution must not perturb the L2 hierarchy",
+                dense,
+                default,
+                "{}/Apache@{tier}: the default kernel must not perturb the L2 hierarchy",
                 engine.label()
             );
         }
