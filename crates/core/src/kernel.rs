@@ -425,7 +425,8 @@ mod tests {
         retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x3000), 9), 0);
         assert!(!k.commit_all(&mut mem, &mut stats), "buffered store blocks commit");
         // Grant permission and drain.
-        mem.fill(blk(0x3000), LineState::Exclusive, BlockData::zeroed(), 1, &mut stats.counters);
+        let (state, data) = (LineState::Exclusive, BlockData::zeroed());
+        mem.fill(blk(0x3000), state, data, 1, &mut stats.counters, &mut Vec::new());
         mem.drain_store_buffer(4, 2, &mut stats.counters, |_| true);
         assert!(k.commit_all(&mut mem, &mut stats));
         assert!(!k.speculating());

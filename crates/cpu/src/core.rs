@@ -62,6 +62,9 @@ pub struct Core {
     deferred: Vec<DeferredSnoop>,
     pending_replies: Vec<SnoopReply>,
     load_results: Vec<(usize, u64)>,
+    /// Scratch buffer [`CoreMem::fill`] writes a fill's waiters into; kept
+    /// across fills so the delivery path allocates nothing.
+    fill_waiters: Vec<u64>,
     /// Leading issued prefix: ROB entries `[0, issued_prefix)` are all
     /// issued, so a batched cycle starts its issue scan there instead of
     /// walking the whole buffer. Maintained by the issue scan and shifted
@@ -116,6 +119,7 @@ impl Core {
             deferred: Vec::new(),
             pending_replies: Vec::new(),
             load_results: Vec::new(),
+            fill_waiters: Vec::new(),
             issued_prefix: 0,
             dense: cfg.dense_kernel,
         }
@@ -329,22 +333,14 @@ impl Core {
                     };
                     self.apply_engine_actions(actions);
                 }
-                let result = self.mem.fill(block, state, data, now, &mut self.stats.counters);
-                for waiter in result.waiters {
+                let mut waiters = std::mem::take(&mut self.fill_waiters);
+                self.mem.fill(block, state, data, now, &mut self.stats.counters, &mut waiters);
+                for &waiter in &waiters {
                     self.complete_waiter(waiter, block, now);
                 }
-                // Also wake any instruction that issued a request for this
-                // block but whose waiter registration was lost (e.g. it was
-                // re-dispatched after a replay while the miss was in flight).
-                // Completing an entry never reorders or resizes the buffer.
-                for position in 0..self.rob.len() {
-                    if self.rob.is_issued(position)
-                        && self.rob.complete_at(position).is_none()
-                        && self.rob.get(position).is_some_and(|e| e.block == Some(block))
-                    {
-                        self.complete_at_position(position, block, now);
-                    }
-                }
+                self.fill_waiters = waiters;
+                #[cfg(debug_assertions)]
+                self.debug_check_fill_complete(block);
                 None
             }
             Delivery::Invalidate { block, txn, recall, .. } => {
@@ -361,15 +357,30 @@ impl Core {
         }
     }
 
-    fn complete_waiter(&mut self, waiter: u64, block: BlockAddr, now: Cycle) {
-        // Find the waiting instruction; it may have been squashed, in which
-        // case there is nothing to do.
-        if let Some(position) = self.rob.position_of(waiter) {
-            self.complete_at_position(position, block, now);
+    /// Checks the invariant that lets a fill visit only its registered
+    /// waiters: every miss-issue path registers the issuing entry's dispatch
+    /// id on its block's MSHR, and nothing clears waiters, so no entry that
+    /// issued a miss for `block` is still incomplete once they are done.
+    /// A re-dispatched entry (after a replay or rollback) has a new id and
+    /// registers that id when it issues again.
+    #[cfg(debug_assertions)]
+    fn debug_check_fill_complete(&self, block: BlockAddr) {
+        for position in 0..self.rob.len() {
+            debug_assert!(
+                !(self.rob.is_issued(position)
+                    && self.rob.complete_at(position).is_none()
+                    && self.rob.get(position).is_some_and(|e| e.block == Some(block))),
+                "core{}: the fill of {block} left ROB position {position} issued but \
+                 incomplete (its waiter registration is missing)",
+                self.id.index()
+            );
         }
     }
 
-    fn complete_at_position(&mut self, position: usize, block: BlockAddr, now: Cycle) {
+    fn complete_waiter(&mut self, waiter: u64, block: BlockAddr, now: Cycle) {
+        // Find the waiting instruction; it may have been squashed, in which
+        // case there is nothing to do.
+        let Some(position) = self.rob.position_of(waiter) else { return };
         let at_head = position == 0 && self.mem.sb_empty();
         self.rob.set_complete_at(position, now + self.l1_hit_latency);
         let entry = self.rob.get(position).expect("position below len");
@@ -1050,6 +1061,83 @@ mod tests {
         }
         assert!(core.finished());
         assert_eq!(core.retired_count(), 3);
+    }
+
+    /// A load squashed by an in-window replay while its miss is in flight is
+    /// re-dispatched with a new dispatch id, merges into the still-open MSHR,
+    /// and is completed by the fill through that new registration (the fill
+    /// visits only registered waiters; no ROB rescan backs it up).
+    #[test]
+    fn replayed_load_merges_into_the_open_miss_and_takes_the_fill() {
+        let cfg = machine_cfg();
+        let mut program = Program::new();
+        // A long-latency head keeps the younger reads vulnerable.
+        program.push(Instruction::op(200));
+        program.push(Instruction::load(Addr::new(0x5000)));
+        program.push(Instruction::load(Addr::new(0x7000)));
+        let mut core = Core::new(CoreId(0), program, &cfg, Box::new(FreeRetireEngine));
+        core.mem.l1.fill(blk(0x5000), LineState::Shared, BlockData::from_words([11; 8]));
+        for now in 0..10 {
+            core.step(now);
+        }
+        let load_b = core.rob.get(2).expect("load of B in flight");
+        assert_eq!(load_b.block, Some(blk(0x7000)));
+        let first_id = load_b.dispatch_id;
+        assert_eq!(core.mem.mshrs.get(blk(0x7000)).unwrap().waiters, vec![first_id]);
+        let first_requests = core.take_requests();
+        assert_eq!(first_requests.len(), 1, "one GetS for B");
+
+        // Invalidating the older, vulnerable read of A squashes both loads.
+        core.handle_delivery(
+            Delivery::Invalidate {
+                core: CoreId(0),
+                block: blk(0x5000),
+                txn: TxnId(1),
+                requester: CoreId(1),
+                recall: false,
+            },
+            10,
+        );
+        assert_eq!(core.stats().counters.in_window_replays, 1);
+        assert_eq!(core.rob.len(), 1, "only the head op survives the replay");
+        assert!(core.mem.miss_outstanding(blk(0x7000)), "B's miss stays in flight");
+
+        // The replayed loads re-dispatch with new ids; the load of B merges.
+        core.mem.l1.fill(blk(0x5000), LineState::Shared, BlockData::from_words([11; 8]));
+        for now in 11..20 {
+            core.step(now);
+        }
+        let load_b = core.rob.get(2).expect("load of B re-dispatched");
+        let second_id = load_b.dispatch_id;
+        assert!(second_id > first_id, "dispatch ids are never reused");
+        assert!(core.rob.is_issued(2) && core.rob.complete_at(2).is_none());
+        assert_eq!(
+            core.mem.mshrs.get(blk(0x7000)).unwrap().waiters,
+            vec![first_id, second_id],
+            "the stale id stays registered and the new one merges"
+        );
+        assert!(core.take_requests().is_empty(), "the merge issues no second request");
+
+        core.handle_delivery(
+            Delivery::Fill {
+                core: CoreId(0),
+                block: blk(0x7000),
+                state: LineState::Shared,
+                data: BlockData::from_words([77; 8]),
+                txn: TxnId(0),
+            },
+            20,
+        );
+        assert!(core.rob.complete_at(2).is_some(), "the fill completes the merged load");
+        assert_eq!(core.rob.get(2).unwrap().loaded_value, Some(77));
+        for now in 21..600 {
+            core.step(now);
+            if core.finished() {
+                break;
+            }
+        }
+        assert!(core.finished());
+        assert_eq!(core.load_results(), &[(1, 11), (2, 77)]);
     }
 
     #[test]

@@ -6,16 +6,6 @@ use ifence_mem::{EvictionAction, L1Cache, MshrError, SbError, StoreBuffer};
 use ifence_stats::{CoreStats, SimCounters, TraceKind};
 use ifence_types::{Addr, BlockAddr, CoreId, Cycle, MachineConfig};
 
-/// Result of delivering a fill to the core's memory side.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FillResult {
-    /// Dispatch identifiers of instructions that were waiting on this block.
-    pub waiters: Vec<u64>,
-    /// True if the fill granted only read permission but a store needs write
-    /// permission, so an upgrade request was issued.
-    pub upgrade_issued: bool,
-}
-
 /// The L1 cache, store buffer, MSHRs and outgoing-request queue of one core.
 ///
 /// Ordering engines receive `&mut CoreMem` and use it to implement the
@@ -175,12 +165,7 @@ impl CoreMem {
         now: Cycle,
         counters: &mut SimCounters,
     ) -> bool {
-        if self.mshrs.contains(block) {
-            if let Some(w) = waiter {
-                self.mshrs.merge_waiter(block, w, true);
-            } else if let Some(e) = self.mshrs.get_mut(block) {
-                e.for_write = true;
-            }
+        if self.merge_write_miss(block, waiter) {
             return true;
         }
         match self.mshrs.allocate(block, true, prefetch, now) {
@@ -201,8 +186,18 @@ impl CoreMem {
                 }
                 true
             }
-            Err(MshrError::AlreadyPresent) => true,
+            Err(MshrError::AlreadyPresent) => self.merge_write_miss(block, waiter),
             Err(MshrError::Full) => false,
+        }
+    }
+
+    /// Records a write intent on the outstanding miss for `block`, if there
+    /// is one, registering `waiter` on it when provided. Returns false if no
+    /// miss is outstanding for the block.
+    fn merge_write_miss(&mut self, block: BlockAddr, waiter: Option<u64>) -> bool {
+        match waiter {
+            Some(w) => self.mshrs.merge_waiter(block, w, true),
+            None => self.mshrs.get_mut(block).map(|e| e.for_write = true).is_some(),
         }
     }
 
@@ -360,7 +355,11 @@ impl CoreMem {
 
     /// Handles a data fill from the coherence fabric: installs the line,
     /// completes the MSHR, and (if a buffered store needed write permission
-    /// but only read permission was granted) issues an upgrade.
+    /// but only read permission was granted) issues an upgrade, returning
+    /// true if it did. `waiters` is overwritten with the dispatch
+    /// identifiers of the instructions that were waiting on this block, in
+    /// registration order; the caller keeps the buffer, so a fill allocates
+    /// nothing.
     pub fn fill(
         &mut self,
         block: BlockAddr,
@@ -368,18 +367,18 @@ impl CoreMem {
         data: ifence_mem::BlockData,
         now: Cycle,
         counters: &mut SimCounters,
-    ) -> FillResult {
+        waiters: &mut Vec<u64>,
+    ) -> bool {
         self.l1.fill(block, state, data);
-        let mut result = FillResult::default();
-        if let Some(entry) = self.mshrs.complete(block) {
-            result.waiters = entry.waiters;
-            if entry.for_write && !state.writable() {
-                // The in-flight request was a GetS but a store now needs
-                // ownership: upgrade.
-                result.upgrade_issued = self.ensure_write_miss(block, None, false, now, counters);
+        waiters.clear();
+        match self.mshrs.complete(block, waiters) {
+            // The in-flight request was a GetS but a store now needs
+            // ownership: upgrade.
+            Some(entry) if entry.for_write && !state.writable() => {
+                self.ensure_write_miss(block, None, false, now, counters)
             }
+            _ => false,
         }
-        result
     }
 
     /// Applies an external invalidation to the L1, returning the dirty data if
@@ -424,6 +423,17 @@ mod tests {
         BlockAddr::containing(Addr::new(byte), 64)
     }
 
+    /// Delivers a fill of the block at `byte`, discarding its waiters.
+    fn fill_block(
+        m: &mut CoreMem,
+        c: &mut SimCounters,
+        byte: u64,
+        state: LineState,
+        data: BlockData,
+    ) {
+        m.fill(blk(byte), state, data, 0, c, &mut Vec::new());
+    }
+
     #[test]
     fn read_miss_allocates_mshr_and_issues_gets() {
         let (mut m, mut c) = mem();
@@ -443,9 +453,11 @@ mod tests {
     fn fill_completes_waiters_and_installs_line() {
         let (mut m, mut c) = mem();
         m.ensure_read_miss(blk(0x2000), 3, 0, &mut c);
-        let res = m.fill(blk(0x2000), LineState::Shared, BlockData::from_words([5; 8]), 10, &mut c);
-        assert_eq!(res.waiters, vec![3]);
-        assert!(!res.upgrade_issued);
+        let mut waiters = vec![99];
+        let words = BlockData::from_words([5; 8]);
+        let upgraded = m.fill(blk(0x2000), LineState::Shared, words, 10, &mut c, &mut waiters);
+        assert_eq!(waiters, vec![3], "stale buffer contents are replaced");
+        assert!(!upgraded);
         assert!(m.readable(blk(0x2000)));
         assert_eq!(m.read_value(Addr::new(0x2000)), Some(5));
     }
@@ -457,9 +469,11 @@ mod tests {
         // A store now also needs the block.
         m.ensure_write_miss(blk(0x2000), Some(4), false, 1, &mut c);
         let _ = m.take_requests();
-        let res = m.fill(blk(0x2000), LineState::Shared, BlockData::zeroed(), 10, &mut c);
-        assert!(res.upgrade_issued);
-        assert!(res.waiters.contains(&3) && res.waiters.contains(&4));
+        let mut waiters = Vec::new();
+        let upgraded =
+            m.fill(blk(0x2000), LineState::Shared, BlockData::zeroed(), 10, &mut c, &mut waiters);
+        assert!(upgraded);
+        assert_eq!(waiters, vec![3, 4]);
         let reqs = m.take_requests();
         assert!(reqs.iter().any(|r| r.kind == CoherenceReqKind::GetM));
     }
@@ -482,7 +496,7 @@ mod tests {
         let mut s = CoreStats::new();
         m.store_to_sb(Addr::new(0x3000), 9, None, 0, &mut s).unwrap();
         assert_eq!(m.drain_store_buffer(4, 1, &mut c, |_| true), 0, "no permission yet");
-        m.fill(blk(0x3000), LineState::Exclusive, BlockData::zeroed(), 5, &mut c);
+        fill_block(&mut m, &mut c, 0x3000, LineState::Exclusive, BlockData::zeroed());
         assert_eq!(m.drain_store_buffer(4, 6, &mut c, |_| true), 1);
         assert!(m.sb_empty());
         assert_eq!(m.read_value(Addr::new(0x3000)), Some(9));
@@ -492,7 +506,7 @@ mod tests {
     #[test]
     fn drain_respects_epoch_gate() {
         let (mut m, mut c) = mem();
-        m.fill(blk(0x3000), LineState::Exclusive, BlockData::zeroed(), 0, &mut c);
+        fill_block(&mut m, &mut c, 0x3000, LineState::Exclusive, BlockData::zeroed());
         let mut s = CoreStats::new();
         m.store_to_sb(Addr::new(0x3000), 9, Some(1), 0, &mut s).unwrap();
         assert_eq!(m.drain_store_buffer(4, 1, &mut c, |e| e.is_none()), 0, "gate blocks epoch 1");
@@ -503,7 +517,7 @@ mod tests {
     #[test]
     fn speculative_store_to_dirty_block_cleans_first() {
         let (mut m, mut c) = mem();
-        m.fill(blk(0x4000), LineState::Modified, BlockData::from_words([1; 8]), 0, &mut c);
+        fill_block(&mut m, &mut c, 0x4000, LineState::Modified, BlockData::from_words([1; 8]));
         assert!(m.store_to_l1(Addr::new(0x4000), 42, Some(0), &mut c));
         assert!(m.l1.is_spec_written(blk(0x4000), 0));
         // The cleaning writeback carries the pre-speculative value (1), not 42.
@@ -522,7 +536,7 @@ mod tests {
     #[test]
     fn non_speculative_store_hit_does_not_clean() {
         let (mut m, mut c) = mem();
-        m.fill(blk(0x4000), LineState::Modified, BlockData::from_words([1; 8]), 0, &mut c);
+        fill_block(&mut m, &mut c, 0x4000, LineState::Modified, BlockData::from_words([1; 8]));
         assert!(m.store_to_l1(Addr::new(0x4000), 42, None, &mut c));
         assert!(m.take_requests().is_empty());
     }
@@ -545,7 +559,7 @@ mod tests {
     #[test]
     fn forwarding_prefers_store_buffer() {
         let (mut m, mut c) = mem();
-        m.fill(blk(0x6000), LineState::Exclusive, BlockData::from_words([7; 8]), 0, &mut c);
+        fill_block(&mut m, &mut c, 0x6000, LineState::Exclusive, BlockData::from_words([7; 8]));
         let mut s = CoreStats::new();
         m.store_to_sb(Addr::new(0x6000), 99, None, 0, &mut s).unwrap();
         assert_eq!(m.read_value(Addr::new(0x6000)), Some(99));

@@ -120,12 +120,17 @@ impl Rob {
         self.entries.is_full()
     }
 
-    /// Dispatches an instruction into the buffer.
+    /// Dispatches an instruction into the buffer. `dispatch_id` must exceed
+    /// the id of every instruction still in flight (see [`Rob::position_of`]).
     ///
     /// # Panics
     /// Panics if the buffer is full (the core checks before dispatching).
     pub fn push(&mut self, program_index: usize, dispatch_id: u64, instr: Instruction) {
         assert!(!self.entries.is_full(), "reorder buffer overflow");
+        debug_assert!(
+            self.entries.back().map_or(true, |tail| tail.dispatch_id < dispatch_id),
+            "dispatch ids must strictly increase from head to tail (pushed {dispatch_id})"
+        );
         self.entries.push_back(RobEntry {
             program_index,
             dispatch_id,
@@ -202,8 +207,24 @@ impl Rob {
 
     /// Position (0 = head) of the in-flight instruction with the given
     /// dispatch id, if it is still in flight.
+    ///
+    /// Dispatch ids strictly increase from head to tail: the core hands out
+    /// `next_dispatch_id += 1` per push and never reuses an id, retirement
+    /// pops the head, and squashes only truncate the tail ([`Rob::push`]
+    /// checks this in debug builds). So the lookup is a binary search over
+    /// the ring, O(log ROB) per fill waiter.
     pub fn position_of(&self, dispatch_id: u64) -> Option<usize> {
-        self.entries.iter().position(|e| e.dispatch_id == dispatch_id)
+        let (mut lo, mut hi) = (0, self.entries.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let id = self.entries.get(mid).expect("mid below len").dispatch_id;
+            match id.cmp(&dispatch_id) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(mid),
+            }
+        }
+        None
     }
 
     /// Removes and returns the oldest instruction (retirement).
@@ -371,5 +392,64 @@ mod tests {
         rob.pop_head();
         assert_eq!(rob.position_of(9), Some(0));
         assert_eq!(rob.position_of(7), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly increase")]
+    fn push_rejects_a_non_increasing_dispatch_id() {
+        let mut rob = Rob::new(4);
+        rob.push(0, 5, Instruction::op(1));
+        rob.push(1, 5, Instruction::op(1));
+    }
+
+    /// `position_of` agrees with a linear-scan oracle over random push, pop,
+    /// partial-squash and full-squash sequences. A small capacity forces the
+    /// ring to wrap, and squashes leave gaps in the id sequence because the
+    /// dispatch counter never rewinds (exactly as in the core).
+    #[test]
+    fn position_of_matches_a_linear_scan_oracle() {
+        // SplitMix64: a seeded, dependency-free generator.
+        let mut state = 0x1f3d_5b79_u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        for capacity in [1usize, 3, 8, 13] {
+            let mut rob = Rob::new(capacity);
+            let (mut next_fetch, mut next_id) = (0usize, 0u64);
+            for _ in 0..4_000 {
+                match next(10) {
+                    0..=4 if !rob.is_full() => {
+                        rob.push(next_fetch, next_id, Instruction::op(1));
+                        next_fetch += 1;
+                        next_id += 1;
+                    }
+                    5..=6 => {
+                        rob.pop_head();
+                    }
+                    7..=8 if !rob.is_empty() => {
+                        // Squash a random suffix and rewind the fetch
+                        // frontier, but never the dispatch counter.
+                        let from = rob.get(next(rob.len() as u64) as usize).unwrap().program_index;
+                        rob.squash_from(from);
+                        next_fetch = from;
+                        next_id += next(3);
+                    }
+                    9 => {
+                        rob.squash_all();
+                    }
+                    _ => {}
+                }
+                let low = next_id.saturating_sub(2 * capacity as u64 + 4);
+                for id in low..=next_id {
+                    let oracle = rob.iter().position(|e| e.dispatch_id == id);
+                    assert_eq!(rob.position_of(id), oracle, "capacity {capacity}, id {id}");
+                }
+            }
+        }
     }
 }

@@ -51,20 +51,31 @@ impl std::error::Error for MshrError {}
 /// let b = BlockAddr::containing(Addr::new(0x100), 64);
 /// mshrs.allocate(b, false, false, 0).unwrap();
 /// assert!(mshrs.contains(b));
-/// let entry = mshrs.complete(b).unwrap();
+/// mshrs.merge_waiter(b, 7, false);
+/// let mut waiters = Vec::new();
+/// let entry = mshrs.complete(b, &mut waiters).unwrap();
 /// assert_eq!(entry.block, b);
+/// assert_eq!(waiters, vec![7]);
 /// assert!(mshrs.is_empty());
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MshrFile {
     capacity: usize,
     entries: Vec<MshrEntry>,
+    /// Emptied waiter buffers of completed entries, handed to the next
+    /// allocations. Every buffer is either here or in a live entry, so there
+    /// are never more than `capacity` of them.
+    spare_waiters: Vec<Vec<u64>>,
 }
 
 impl MshrFile {
     /// Creates an MSHR file with `capacity` registers.
     pub fn new(capacity: usize) -> Self {
-        MshrFile { capacity, entries: Vec::with_capacity(capacity) }
+        MshrFile {
+            capacity,
+            entries: Vec::with_capacity(capacity),
+            spare_waiters: Vec::with_capacity(capacity),
+        }
     }
 
     /// Number of outstanding misses.
@@ -97,7 +108,8 @@ impl MshrFile {
         self.entries.iter_mut().find(|e| e.block == block)
     }
 
-    /// Allocates a new entry.
+    /// Allocates a new entry, reusing a completed entry's waiter buffer when
+    /// one is spare.
     ///
     /// # Errors
     /// Returns [`MshrError::AlreadyPresent`] if an entry exists (merge with
@@ -120,7 +132,7 @@ impl MshrFile {
             block,
             for_write,
             prefetch,
-            waiters: Vec::new(),
+            waiters: self.spare_waiters.pop().unwrap_or_default(),
             issued_at: now,
         });
         Ok(self.entries.last_mut().expect("just pushed"))
@@ -143,19 +155,17 @@ impl MshrFile {
         }
     }
 
-    /// Removes and returns the entry for `block` when its fill arrives.
-    pub fn complete(&mut self, block: BlockAddr) -> Option<MshrEntry> {
+    /// Removes and returns the entry for `block` when its fill arrives. The
+    /// entry's waiters are appended to `waiters` and its emptied buffer is
+    /// kept for a later [`MshrFile::allocate`], so a miss→fill round trip
+    /// allocates nothing once the file has warmed up. The returned entry's
+    /// `waiters` is therefore empty.
+    pub fn complete(&mut self, block: BlockAddr, waiters: &mut Vec<u64>) -> Option<MshrEntry> {
         let pos = self.entries.iter().position(|e| e.block == block)?;
-        Some(self.entries.remove(pos))
-    }
-
-    /// Discards all waiters (used when the pipeline is squashed); the misses
-    /// themselves remain outstanding because the coherence transactions are
-    /// already in flight.
-    pub fn clear_waiters(&mut self) {
-        for e in &mut self.entries {
-            e.waiters.clear();
-        }
+        let mut entry = self.entries.remove(pos);
+        waiters.append(&mut entry.waiters);
+        self.spare_waiters.push(std::mem::take(&mut entry.waiters));
+        Some(entry)
     }
 
     /// Cycle at which the oldest still-outstanding miss was issued, if any —
@@ -197,7 +207,7 @@ mod tests {
         m.allocate(blk(0x00), false, false, 30).unwrap();
         m.allocate(blk(0x40), true, false, 10).unwrap();
         assert_eq!(m.oldest_issue(), Some(10));
-        m.complete(blk(0x40));
+        m.complete(blk(0x40), &mut Vec::new());
         assert_eq!(m.oldest_issue(), Some(30));
     }
 
@@ -221,20 +231,29 @@ mod tests {
     fn complete_removes_entry() {
         let mut m = MshrFile::new(2);
         m.allocate(blk(0x00), false, false, 3).unwrap();
-        let e = m.complete(blk(0x00)).unwrap();
+        let e = m.complete(blk(0x00), &mut Vec::new()).unwrap();
         assert_eq!(e.issued_at, 3);
         assert!(m.is_empty());
-        assert!(m.complete(blk(0x00)).is_none());
+        assert!(m.complete(blk(0x00), &mut Vec::new()).is_none());
     }
 
     #[test]
-    fn clear_waiters_keeps_entries() {
+    fn completed_waiter_buffers_are_reused() {
         let mut m = MshrFile::new(2);
+        let mut waiters = vec![99];
         m.allocate(blk(0x00), false, false, 0).unwrap();
-        m.merge_waiter(blk(0x00), 1, false);
-        m.clear_waiters();
-        assert!(m.contains(blk(0x00)));
-        assert!(m.get(blk(0x00)).unwrap().waiters.is_empty());
+        for w in 0..8 {
+            m.merge_waiter(blk(0x00), w, false);
+        }
+        let buffer = m.get(blk(0x00)).unwrap().waiters.as_ptr();
+        let e = m.complete(blk(0x00), &mut waiters).unwrap();
+        assert!(e.waiters.is_empty(), "the waiters moved out to the caller");
+        assert_eq!(waiters, vec![99, 0, 1, 2, 3, 4, 5, 6, 7], "appended in registration order");
+        // The next miss gets the same heap buffer back, emptied.
+        let e = m.allocate(blk(0x40), false, false, 1).unwrap();
+        assert!(e.waiters.is_empty());
+        assert!(e.waiters.capacity() >= 8);
+        assert_eq!(e.waiters.as_ptr(), buffer);
     }
 
     #[test]

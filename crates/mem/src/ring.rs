@@ -123,6 +123,11 @@ impl<T> Ring<T> {
         self.get_mut(0)
     }
 
+    /// The newest element.
+    pub fn back(&self) -> Option<&T> {
+        self.len.checked_sub(1).and_then(|i| self.get(i))
+    }
+
     /// Removes every element.
     pub fn clear(&mut self) {
         self.head = 0;
@@ -233,6 +238,7 @@ mod tests {
         assert_eq!(r.get(2), Some(&4));
         assert_eq!(r.get(3), None);
         assert_eq!(r.front(), Some(&2));
+        assert_eq!(r.back(), Some(&4));
     }
 
     #[test]

@@ -331,13 +331,16 @@ impl Machine {
         // sleeping target, and the cycle counts as progressed even if the
         // receiving core then reports quiescence. The delivery buffer is
         // persistent (cleared and refilled by `step_into`), so the routing
-        // loop allocates nothing in steady state.
+        // loop allocates nothing in steady state. Each phase timer opens only
+        // when its phase has work — an event due, a delivery to route — so
+        // the profiler's clock reads stay off the many cycles that have none.
         let mut delivery_buf = std::mem::take(&mut self.delivery_buf);
-        let timer = self.timer(Phase::FabricStep);
+        let fabric_due = self.fabric.next_due().is_some_and(|due| due <= now);
+        let timer = if fabric_due { self.timer(Phase::FabricStep) } else { None };
         self.fabric.step_into(now, &mut delivery_buf);
         drop(timer);
         progressed |= !delivery_buf.is_empty();
-        let timer = self.timer(Phase::DeliveryRouting);
+        let timer = if delivery_buf.is_empty() { None } else { self.timer(Phase::DeliveryRouting) };
         for &delivery in &delivery_buf {
             let idx = delivery.core().index();
             self.wake_core(idx, now);
