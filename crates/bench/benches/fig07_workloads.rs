@@ -8,7 +8,7 @@ use ifence_workloads::presets;
 fn main() {
     let params = paper_params();
     let _run =
-        print_header("Figure 7", "Workloads (synthetic approximations; see DESIGN.md)", &params);
+        print_header("Figure 7", "Workloads (synthetic approximations; see PAPER.md)", &params);
     let mut table = ColumnTable::new([
         "Workload",
         "Description",

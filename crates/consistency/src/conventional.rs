@@ -37,15 +37,7 @@ impl ConventionalEngine {
             }
             // RMO: store hits retire directly into the data cache; misses go
             // to the coalescing buffer.
-            ConsistencyModel::Rmo => {
-                if ctx.mem.store_to_l1(addr, value, None, &mut ctx.stats.counters) {
-                    return RetireOutcome::Retired;
-                }
-                match ctx.mem.store_to_sb(addr, value, None, ctx.now, ctx.stats) {
-                    Ok(()) => RetireOutcome::Retired,
-                    Err(_) => RetireOutcome::Stall(StallReason::StoreBufferFull),
-                }
-            }
+            ConsistencyModel::Rmo => ctx.store_to_l1_or_sb(addr, value),
         }
     }
 

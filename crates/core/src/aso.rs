@@ -21,8 +21,8 @@
 //! already.
 
 use ifence_cpu::{
-    CoreMem, DeferResolution, EngineAction, ExternalKind, ExternalOutcome, OrderingEngine,
-    RetireCtx, RetireOutcome,
+    CoreMem, DeferResolution, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
+    RetireOutcome,
 };
 use ifence_stats::{CoreStats, ProvisionalBreakdown};
 use ifence_types::{
@@ -108,17 +108,11 @@ impl AsoEngine {
         }
     }
 
-    fn retire_non_speculative(&self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
+    fn retire_non_speculative(ctx: &mut RetireCtx<'_>) -> RetireOutcome {
         match ctx.entry.instr.kind {
             InstrKind::Op(_) | InstrKind::Load(_) | InstrKind::Fence(_) => RetireOutcome::Retired,
             InstrKind::Store(addr, value) | InstrKind::Atomic(addr, value) => {
-                if ctx.mem.store_to_l1(addr, value, None, &mut ctx.stats.counters) {
-                    return RetireOutcome::Retired;
-                }
-                match ctx.mem.store_to_sb(addr, value, None, ctx.now, ctx.stats) {
-                    Ok(()) => RetireOutcome::Retired,
-                    Err(_) => RetireOutcome::Stall(StallReason::StoreBufferFull),
-                }
+                ctx.store_to_l1_or_sb(addr, value)
             }
         }
     }
@@ -258,14 +252,14 @@ impl OrderingEngine for AsoEngine {
                 .push(AsoCheckpoint { resume_at: ctx.checkpoint_index(), ..Default::default() });
             return self.retire_speculative(ctx);
         }
-        let outcome = self.retire_non_speculative(ctx);
+        let outcome = Self::retire_non_speculative(ctx);
         if outcome == RetireOutcome::Retired {
             self.must_retire_nonspec = false;
         }
         outcome
     }
 
-    fn tick(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, now: Cycle) -> Vec<EngineAction> {
+    fn tick(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, now: Cycle) {
         if let Some(until) = self.committing_until {
             if now >= until {
                 self.committing_until = None;
@@ -277,7 +271,6 @@ impl OrderingEngine for AsoEngine {
         if self.speculating_now() && mem.sb_empty() {
             self.commit_all(stats, now);
         }
-        Vec::new()
     }
 
     fn on_external(
@@ -340,17 +333,16 @@ impl OrderingEngine for AsoEngine {
         mem: &mut CoreMem,
         stats: &mut CoreStats,
         now: Cycle,
-    ) -> Vec<EngineAction> {
+    ) -> Option<usize> {
         if !self.speculating_now() {
-            return Vec::new();
+            return None;
         }
         if mem.sb_empty() {
             self.commit_all(stats, now);
-            return Vec::new();
+            return None;
         }
         stats.counters.speculations_aborted_structural += 1;
-        let resume_at = self.abort_from(0, mem, stats);
-        vec![EngineAction::Rollback { resume_at }]
+        Some(self.abort_from(0, mem, stats))
     }
 
     fn record_cycles(&mut self, class: CycleClass, cycles: Cycle, stats: &mut CoreStats) {
@@ -549,7 +541,7 @@ mod tests {
             let mut engine = AsoEngine::new(ConsistencyModel::Sc, &machine);
             engine.committing_until = Some(until);
             assert_eq!(engine.tick_due(&mem, now), due, "drain ending at {until}");
-            assert!(engine.tick(&mut mem, &mut stats, now).is_empty());
+            engine.tick(&mut mem, &mut stats, now);
             assert_eq!(engine.committing(), !due, "tick clears the timer exactly when due");
         }
         // An in-flight sequence becomes due when its store misses complete.
@@ -563,5 +555,37 @@ mod tests {
         assert!(engine.tick_due(&mem, now));
         engine.tick(&mut mem, &mut stats, now);
         assert!(!engine.speculating());
+    }
+
+    #[test]
+    fn eviction_pressure_commits_when_drained_else_aborts_structurally() {
+        let machine = cfg();
+        let mut stats = CoreStats::new();
+        let episode = || AsoCheckpoint { resume_at: 7, ..Default::default() };
+
+        // Every store has drained: the fill forces the commit.
+        let mut mem = CoreMem::new(CoreId(0), &machine);
+        let mut engine = AsoEngine::new(ConsistencyModel::Sc, &machine);
+        engine.checkpoints.push(episode());
+        assert_eq!(engine.on_spec_eviction_pressure(&mut mem, &mut stats, 50), None);
+        assert!(!engine.speculating());
+        assert_eq!(stats.counters.speculations_committed, 1);
+        assert_eq!(stats.counters.speculations_aborted_structural, 0);
+
+        // A speculative store is still buffered: the sequence aborts and
+        // execution resumes at its checkpoint.
+        let mut mem = CoreMem::new(CoreId(0), &machine);
+        let mut engine = AsoEngine::new(ConsistencyModel::Sc, &machine);
+        engine.checkpoints.push(episode());
+        mem.sb.push(Addr::new(0x3000), 1, Some(0)).unwrap();
+        assert_eq!(engine.on_spec_eviction_pressure(&mut mem, &mut stats, 50), Some(7));
+        assert!(!engine.speculating());
+        assert_eq!(stats.counters.speculations_aborted_structural, 1);
+        assert_eq!(stats.counters.speculations_aborted, 1);
+        assert!(mem.sb.is_empty(), "the sequence's buffered store is discarded");
+
+        // Outside speculation the hook does nothing.
+        assert_eq!(engine.on_spec_eviction_pressure(&mut mem, &mut stats, 60), None);
+        assert_eq!(stats.counters.speculations_committed, 1);
     }
 }

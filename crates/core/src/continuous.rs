@@ -1,55 +1,51 @@
 //! InvisiFence-Continuous (Section 4.2): execute everything inside
-//! speculative chunks, subsuming the in-window ordering mechanism.
+//! speculative chunks.
+//!
+//! The paper's continuous mode subsumes the in-window ordering mechanism
+//! (load-queue snooping). This model keeps the core's snoop active for every
+//! engine; the core's `in_window_snoop` explains why, and the approximation
+//! costs slightly more in-window replays with the same ordering guarantees.
 
 use crate::kernel::SpeculationKernel;
 use ifence_cpu::{
-    CoreMem, DeferResolution, EngineAction, ExternalKind, ExternalOutcome, OrderingEngine,
-    RetireCtx, RetireOutcome,
+    CoreMem, DeferResolution, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
+    RetireOutcome,
 };
 use ifence_stats::CoreStats;
-use ifence_types::{BlockAddr, Cycle, CycleClass, InstrKind, MachineConfig, StallReason};
+use ifence_types::{BlockAddr, Cycle, CycleClass, InstrKind, SpeculationConfig, StallReason};
 
 /// InvisiFence-Continuous: all memory operations execute speculatively as part
 /// of a chunk of at least `min_chunk` instructions. Loads mark their
-/// speculatively-read bits at execute time, so no separate in-window ordering
-/// mechanism (load-queue snooping) is needed. Two in-flight checkpoints
-/// pipeline the commit of a closed chunk with execution of its successor.
+/// speculatively-read bits at execute time, so in-window reorderings are
+/// covered by the same violation detection as post-retirement ones. Two
+/// in-flight checkpoints pipeline the commit of a closed chunk with execution
+/// of its successor.
 ///
-/// With `commit_on_violate` enabled, an external request that would abort a
+/// With commit-on-violate enabled, an external request that would abort a
 /// chunk is instead deferred for a bounded interval, giving the chunk a chance
 /// to commit first (Section 6.6) — the policy that recovers most of the
 /// performance continuous speculation otherwise loses to violations.
 #[derive(Debug)]
 pub struct InvisiContinuousEngine {
     kernel: SpeculationKernel,
-    commit_on_violate: bool,
-    cov_timeout: Cycle,
     min_chunk: usize,
-    retire_one_nonspec: bool,
     /// Blocks read at execute time before the first chunk of an episode has
     /// opened; they are marked speculatively-read as soon as it does. Until
-    /// then the core's ordinary load-queue snooping covers them (see
-    /// [`InvisiContinuousEngine::subsumes_in_window`]).
+    /// then the core's ordinary load-queue snooping covers them. The list is
+    /// empty whenever a chunk is open, so an abort has none to discard.
     pending_reads: Vec<BlockAddr>,
 }
 
 impl InvisiContinuousEngine {
-    /// Creates a continuous engine from the machine configuration (checkpoint
-    /// count, minimum chunk size, commit-on-violate policy and timeout).
-    pub fn new(cfg: &MachineConfig) -> Self {
-        Self::with_speculation(cfg.speculation)
-    }
-
-    /// Creates a continuous engine from just the speculation parameters (the
-    /// only part of the machine configuration it needs — the construction
-    /// path avoids cloning a whole `MachineConfig` per core).
-    pub fn with_speculation(speculation: ifence_types::SpeculationConfig) -> Self {
+    /// Creates a continuous engine with two checkpoints (chunk commit is
+    /// pipelined over them), chunks of at least
+    /// `speculation.min_chunk_instructions` instructions and, when
+    /// `commit_on_violate` is set, a deferral window of
+    /// `speculation.cov_timeout` cycles.
+    pub fn new(commit_on_violate: bool, speculation: &SpeculationConfig) -> Self {
         InvisiContinuousEngine {
-            kernel: SpeculationKernel::new(speculation.checkpoints.max(2)),
-            commit_on_violate: speculation.commit_on_violate,
-            cov_timeout: speculation.cov_timeout,
+            kernel: SpeculationKernel::new(2, commit_on_violate.then_some(speculation.cov_timeout)),
             min_chunk: speculation.min_chunk_instructions.max(1),
-            retire_one_nonspec: false,
             pending_reads: Vec::new(),
         }
     }
@@ -59,52 +55,23 @@ impl InvisiContinuousEngine {
         &self.kernel
     }
 
-    /// Whether the commit-on-violate policy is enabled.
-    pub fn commit_on_violate(&self) -> bool {
-        self.commit_on_violate
-    }
-
     /// True if the youngest chunk holds at least `min_chunk` instructions —
-    /// the size at which a lone chunk commits as soon as it drains.
+    /// the size at which it closes behind a successor or, when it is the
+    /// only chunk, commits as soon as it drains.
     fn lone_chunk_full(&self) -> bool {
         self.kernel.youngest().is_some_and(|e| e.retired >= self.min_chunk)
     }
 
-    fn abort(&mut self, position: usize, mem: &mut CoreMem, stats: &mut CoreStats) -> usize {
-        let resume = self.kernel.abort_from(position, mem, stats);
-        self.pending_reads.clear();
-        if !self.kernel.speculating() {
-            // Forward progress: re-execute the first instruction outside any
-            // chunk before chunked execution resumes.
-            self.retire_one_nonspec = true;
-        }
-        resume
-    }
-
-    fn retire_non_speculative(&self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
+    fn retire_non_speculative(ctx: &mut RetireCtx<'_>) -> RetireOutcome {
         // The forward-progress instruction retires outside any chunk, so it
         // must satisfy SC ordering conventionally: memory operations wait for
         // the store buffer to drain first (fences and plain ops are free).
         match ctx.entry.instr.kind {
             InstrKind::Op(_) | InstrKind::Fence(_) => RetireOutcome::Retired,
-            InstrKind::Load(_) => {
-                if ctx.mem.sb_empty() {
-                    RetireOutcome::Retired
-                } else {
-                    RetireOutcome::Stall(StallReason::StoreBufferDrain)
-                }
-            }
+            _ if !ctx.mem.sb_empty() => RetireOutcome::Stall(StallReason::StoreBufferDrain),
+            InstrKind::Load(_) => RetireOutcome::Retired,
             InstrKind::Store(addr, value) | InstrKind::Atomic(addr, value) => {
-                if !ctx.mem.sb_empty() {
-                    return RetireOutcome::Stall(StallReason::StoreBufferDrain);
-                }
-                if ctx.mem.store_to_l1(addr, value, None, &mut ctx.stats.counters) {
-                    return RetireOutcome::Retired;
-                }
-                match ctx.mem.store_to_sb(addr, value, None, ctx.now, ctx.stats) {
-                    Ok(()) => RetireOutcome::Retired,
-                    Err(_) => RetireOutcome::Stall(StallReason::StoreBufferFull),
-                }
+                ctx.store_to_l1_or_sb(addr, value)
             }
         }
     }
@@ -112,7 +79,7 @@ impl InvisiContinuousEngine {
 
 impl OrderingEngine for InvisiContinuousEngine {
     fn name(&self) -> String {
-        if self.commit_on_violate {
+        if self.kernel.commit_on_violate() {
             "Invisi_cont_CoV".to_string()
         } else {
             "Invisi_cont".to_string()
@@ -120,10 +87,10 @@ impl OrderingEngine for InvisiContinuousEngine {
     }
 
     fn try_retire(&mut self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
-        if self.retire_one_nonspec {
-            let outcome = self.retire_non_speculative(ctx);
+        if self.kernel.must_retire_nonspec() {
+            let outcome = Self::retire_non_speculative(ctx);
             if outcome == RetireOutcome::Retired {
-                self.retire_one_nonspec = false;
+                self.kernel.note_nonspec_retire();
             }
             return outcome;
         }
@@ -138,9 +105,7 @@ impl OrderingEngine for InvisiContinuousEngine {
                     ctx.mem.l1.mark_spec_read(block, slot);
                 }
             }
-        } else if self.kernel.youngest().map(|e| e.retired).unwrap_or(0) >= self.min_chunk
-            && self.kernel.has_free_slot()
-        {
+        } else if self.lone_chunk_full() && self.kernel.has_free_slot() {
             // Close the current chunk and open its successor; the closed chunk
             // commits in the background once its stores complete.
             self.kernel.begin(ctx.checkpoint_index(), ctx.stats);
@@ -160,12 +125,12 @@ impl OrderingEngine for InvisiContinuousEngine {
             }
             // Before the first chunk opens, remember the read; it is marked
             // when the chunk begins (and the core's load-queue snooping covers
-            // the interim — see `subsumes_in_window`).
+            // the interim).
             None => self.pending_reads.push(block),
         }
     }
 
-    fn tick(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, _now: Cycle) -> Vec<EngineAction> {
+    fn tick(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, _now: Cycle) {
         // Pipelined chunk commit: a closed chunk commits once its stores have
         // drained.
         while self.kernel.try_commit_oldest(mem, stats, true) {}
@@ -174,7 +139,6 @@ impl OrderingEngine for InvisiContinuousEngine {
         if self.kernel.episode_count() == 1 && self.lone_chunk_full() {
             self.kernel.try_commit_oldest(mem, stats, false);
         }
-        Vec::new()
     }
 
     fn on_external(
@@ -185,17 +149,7 @@ impl OrderingEngine for InvisiContinuousEngine {
         kind: ExternalKind,
         now: Cycle,
     ) -> ExternalOutcome {
-        match self.kernel.conflict_position(mem, block, kind.is_write()) {
-            None => ExternalOutcome::Ack,
-            Some(position) => {
-                if self.commit_on_violate {
-                    ExternalOutcome::Defer { until: now + self.cov_timeout }
-                } else {
-                    let resume_at = self.abort(position, mem, stats);
-                    ExternalOutcome::AckAfterRollback { resume_at }
-                }
-            }
-        }
+        self.kernel.on_external(mem, stats, block, kind, now)
     }
 
     fn resolve_deferred(
@@ -207,21 +161,7 @@ impl OrderingEngine for InvisiContinuousEngine {
         deadline: Cycle,
         now: Cycle,
     ) -> DeferResolution {
-        match self.kernel.conflict_position(mem, block, kind.is_write()) {
-            None => {
-                stats.counters.cov_commits += 1;
-                DeferResolution::Ack
-            }
-            Some(position) => {
-                if now >= deadline {
-                    stats.counters.cov_timeouts += 1;
-                    let resume_at = self.abort(position, mem, stats);
-                    DeferResolution::AckAfterRollback { resume_at }
-                } else {
-                    DeferResolution::Wait
-                }
-            }
-        }
+        self.kernel.resolve_deferred(mem, stats, block, kind, deadline, now)
     }
 
     fn speculating(&self) -> bool {
@@ -229,19 +169,7 @@ impl OrderingEngine for InvisiContinuousEngine {
     }
 
     fn rollback_floor(&self) -> Option<usize> {
-        self.kernel.oldest().map(|e| e.checkpoint)
-    }
-
-    fn subsumes_in_window(&self) -> bool {
-        // The paper's continuous mode subsumes load-queue snooping because a
-        // load's speculatively-read bit protects it from execute to commit.
-        // In this model a load can execute while one chunk is youngest and
-        // retire into the next, so its execute-time marking may be cleared by
-        // the earlier chunk's commit before it retires; keeping the core's
-        // conventional load-queue snoop active closes that window. This is a
-        // conservative approximation (slightly more in-window replays, same
-        // ordering guarantees) documented in DESIGN.md.
-        false
+        self.kernel.rollback_floor()
     }
 
     fn can_drain(&self, epoch: Option<u8>) -> bool {
@@ -253,16 +181,8 @@ impl OrderingEngine for InvisiContinuousEngine {
         mem: &mut CoreMem,
         stats: &mut CoreStats,
         _now: Cycle,
-    ) -> Vec<EngineAction> {
-        if !self.kernel.speculating() {
-            return Vec::new();
-        }
-        if self.kernel.commit_all(mem, stats) {
-            return Vec::new();
-        }
-        stats.counters.speculations_aborted_structural += 1;
-        let resume_at = self.abort(0, mem, stats);
-        vec![EngineAction::Rollback { resume_at }]
+    ) -> Option<usize> {
+        self.kernel.on_spec_eviction_pressure(mem, stats)
     }
 
     fn record_cycles(&mut self, class: CycleClass, cycles: Cycle, stats: &mut CoreStats) {
@@ -287,10 +207,10 @@ impl OrderingEngine for InvisiContinuousEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ifence_coherence::{Delivery, TxnId};
+    use ifence_coherence::{Delivery, SnoopReply, TxnId};
     use ifence_cpu::Core;
     use ifence_mem::{BlockData, LineState};
-    use ifence_types::{Addr, CoreId, EngineKind, Instruction, Program};
+    use ifence_types::{Addr, CoreId, EngineKind, Instruction, MachineConfig, Program};
 
     fn cfg(cov: bool) -> MachineConfig {
         let mut m =
@@ -303,15 +223,27 @@ mod tests {
         BlockAddr::containing(Addr::new(byte), 64)
     }
 
+    fn core_on(machine: &MachineConfig, program: Program) -> Core {
+        let cov = machine.engine == EngineKind::InvisiContinuous { commit_on_violate: true };
+        let engine = InvisiContinuousEngine::new(cov, &machine.speculation);
+        Core::new(CoreId(0), program, machine, Box::new(engine))
+    }
+
     fn core_with(cov: bool, program: Program) -> Core {
-        let machine = cfg(cov);
-        Core::new(CoreId(0), program, &machine, Box::new(InvisiContinuousEngine::new(&machine)))
+        core_on(&cfg(cov), program)
     }
 
     fn core_with_chunk(cov: bool, min_chunk: usize, program: Program) -> Core {
         let mut machine = cfg(cov);
         machine.speculation.min_chunk_instructions = min_chunk;
-        Core::new(CoreId(0), program, &machine, Box::new(InvisiContinuousEngine::new(&machine)))
+        core_on(&machine, program)
+    }
+
+    fn invalidate(block: BlockAddr, txn: u64, recall: bool) -> Delivery {
+        // Recalls come from the home node, ordinary invalidations from a
+        // remote writer.
+        let requester = if recall { CoreId(0) } else { CoreId(1) };
+        Delivery::Invalidate { core: CoreId(0), block, txn: TxnId(txn), requester, recall }
     }
 
     fn prefill(core: &mut Core, blocks: &[u64]) {
@@ -322,9 +254,11 @@ mod tests {
 
     #[test]
     fn names_distinguish_cov() {
-        assert_eq!(InvisiContinuousEngine::new(&cfg(false)).name(), "Invisi_cont");
-        assert_eq!(InvisiContinuousEngine::new(&cfg(true)).name(), "Invisi_cont_CoV");
-        assert!(InvisiContinuousEngine::new(&cfg(true)).commit_on_violate());
+        let spec = cfg(false).speculation;
+        assert_eq!(InvisiContinuousEngine::new(false, &spec).name(), "Invisi_cont");
+        assert_eq!(InvisiContinuousEngine::new(true, &spec).name(), "Invisi_cont_CoV");
+        assert!(InvisiContinuousEngine::new(true, &spec).kernel().commit_on_violate());
+        assert!(!InvisiContinuousEngine::new(false, &spec).kernel().commit_on_violate());
     }
 
     #[test]
@@ -372,16 +306,7 @@ mod tests {
         }
         assert!(core.speculating());
         assert!(core.mem.l1.is_spec_read(blk(0x1000), 0));
-        core.handle_delivery(
-            Delivery::Invalidate {
-                core: CoreId(0),
-                block: blk(0x1000),
-                txn: TxnId(1),
-                requester: CoreId(1),
-                recall: false,
-            },
-            10,
-        );
+        core.handle_delivery(invalidate(blk(0x1000), 1, false), 10);
         assert_eq!(core.stats().counters.speculations_aborted, 1);
         assert!(core.stats().breakdown.get(CycleClass::Violation) > 0);
         // The invalidated block must be refetched: answer the GetS.
@@ -443,24 +368,20 @@ mod tests {
             core.step(now);
         }
         assert!(core.speculating());
-        let reply = core.handle_delivery(
-            Delivery::Invalidate {
-                core: CoreId(0),
-                block: blk(0x1000),
-                txn: TxnId(5),
-                requester: CoreId(1),
-                recall: false,
-            },
-            6,
-        );
-        assert!(matches!(reply, Some(ifence_coherence::SnoopReply::Defer { .. })));
+        let reply = core.handle_delivery(invalidate(blk(0x1000), 5, false), 6);
+        assert!(matches!(reply, Some(SnoopReply::Defer { .. })));
+        assert_eq!(core.stats().counters.cov_deferrals, 1);
         // Keep running: chunks commit (no outstanding misses), clearing the
         // conflict, so the deferred request is acknowledged without an abort.
         let mut acked = false;
         for now in 7..4000 {
             core.step(now);
             for r in core.take_replies() {
-                if matches!(r, ifence_coherence::SnoopReply::Ack { .. }) {
+                if matches!(r, SnoopReply::Ack { .. }) {
+                    assert!(
+                        core.stats().counters.speculations_committed >= 1,
+                        "the deferred request is acknowledged after the commit"
+                    );
                     acked = true;
                 }
             }
@@ -470,7 +391,62 @@ mod tests {
         }
         assert!(acked);
         assert_eq!(core.stats().counters.speculations_aborted, 0);
-        assert!(core.stats().counters.cov_commits >= 1);
+        assert_eq!(core.stats().counters.cov_commits, 1);
+        assert_eq!(core.stats().counters.cov_timeouts, 0);
+    }
+
+    /// A CoV core whose open chunk has speculatively read 0x1000 and holds a
+    /// store miss that is never serviced, so the chunk cannot commit.
+    fn cov_core_with_stuck_chunk(cov_timeout: u64) -> Core {
+        let mut machine = cfg(true);
+        machine.speculation.cov_timeout = cov_timeout;
+        let mut program = Program::new();
+        program.push(Instruction::load(Addr::new(0x1000)));
+        program.push(Instruction::store(Addr::new(0x9040), 1)); // miss never serviced
+        program.push(Instruction::op(1));
+        let mut core = core_on(&machine, program);
+        prefill(&mut core, &[0x1000]);
+        for now in 0..20 {
+            core.step(now);
+        }
+        assert!(core.speculating());
+        assert!(core.mem.l1.is_spec_read(blk(0x1000), 0));
+        core
+    }
+
+    #[test]
+    fn commit_on_violate_times_out_and_aborts() {
+        let mut core = cov_core_with_stuck_chunk(50);
+        let reply = core.handle_delivery(invalidate(blk(0x1000), 2, false), 20);
+        assert!(matches!(reply, Some(SnoopReply::Defer { .. })));
+        let mut acked = false;
+        for now in 21..400 {
+            core.step(now);
+            for r in core.take_replies() {
+                if matches!(r, SnoopReply::Ack { .. }) {
+                    acked = true;
+                }
+            }
+        }
+        assert!(acked, "timeout forces the acknowledgement");
+        assert_eq!(core.stats().counters.cov_timeouts, 1);
+        assert_eq!(core.stats().counters.cov_commits, 0);
+        assert_eq!(core.stats().counters.speculations_aborted, 1);
+        assert!(core.stats().breakdown.get(CycleClass::Violation) > 0);
+    }
+
+    #[test]
+    fn l2_recall_defers_under_commit_on_violate() {
+        // Under commit-on-violate the recall is deferred, exactly like a
+        // remote writer's invalidation, giving the chunk a chance to commit
+        // before the line is surrendered.
+        let mut core = cov_core_with_stuck_chunk(4000);
+        let reply = core.handle_delivery(invalidate(blk(0x1000), 12, true), 20);
+        assert!(matches!(reply, Some(SnoopReply::Defer { .. })));
+        assert_eq!(core.stats().counters.cov_deferrals, 1);
+        assert_eq!(core.stats().counters.l2_recalls_received, 1);
+        assert!(core.speculating(), "the deferred recall leaves the chunk alive");
+        assert_eq!(core.stats().counters.speculations_aborted, 0);
     }
 
     fn retire_op(
@@ -496,7 +472,7 @@ mod tests {
     fn tick_due_lone_chunk_at_min_chunk_boundary() {
         let machine = cfg(false);
         let min_chunk = machine.speculation.min_chunk_instructions;
-        let mut engine = InvisiContinuousEngine::new(&machine);
+        let mut engine = InvisiContinuousEngine::new(false, &machine.speculation);
         let mut mem = CoreMem::new(CoreId(0), &machine);
         let mut stats = CoreStats::new();
         for index in 0..min_chunk - 1 {
@@ -505,12 +481,12 @@ mod tests {
         assert_eq!(engine.kernel().episode_count(), 1);
         // One short of `min_chunk`: drained, but too small to commit alone.
         assert!(!engine.tick_due(&mem, 0));
-        assert!(engine.tick(&mut mem, &mut stats, 0).is_empty());
+        engine.tick(&mut mem, &mut stats, 0);
         assert!(engine.speculating());
         retire_op(&mut engine, &mut mem, &mut stats, min_chunk - 1);
         assert_eq!(engine.kernel().youngest().unwrap().retired, min_chunk);
         assert!(engine.tick_due(&mem, 0));
-        assert!(engine.tick(&mut mem, &mut stats, 0).is_empty());
+        engine.tick(&mut mem, &mut stats, 0);
         assert!(!engine.speculating(), "the full lone chunk committed");
         assert_eq!(stats.counters.speculations_committed, 1);
     }

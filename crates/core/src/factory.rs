@@ -14,6 +14,11 @@ use ifence_types::{EngineKind, MachineConfig};
 /// InvisiFence-Selective (one or two checkpoints), InvisiFence-Continuous
 /// (with or without commit-on-violate), and the ASO baseline.
 ///
+/// `kind` alone selects the variant — the checkpoint count
+/// ([`EngineKind::checkpoints`]) and the commit-on-violate policy; `cfg`
+/// supplies only the speculation parameters (chunk size, CoV timeout, ASO
+/// and second-checkpoint intervals).
+///
 /// # Example
 /// ```
 /// use invisifence::build_engine;
@@ -25,19 +30,11 @@ use ifence_types::{EngineKind, MachineConfig};
 pub fn build_engine(kind: EngineKind, cfg: &MachineConfig) -> Box<dyn OrderingEngine> {
     match kind {
         EngineKind::Conventional(model) => Box::new(ConventionalEngine::new(model)),
-        EngineKind::InvisiSelective(model) => Box::new(InvisiSelectiveEngine::new(model, cfg)),
-        EngineKind::InvisiSelectiveTwoCkpt(model) => {
-            // SpeculationConfig is Copy: adjust a copy instead of cloning the
-            // whole machine configuration per core.
-            let mut spec = cfg.speculation;
-            spec.checkpoints = 2;
-            Box::new(InvisiSelectiveEngine::with_speculation(model, spec))
+        EngineKind::InvisiSelective(model) | EngineKind::InvisiSelectiveTwoCkpt(model) => {
+            Box::new(InvisiSelectiveEngine::new(model, kind.checkpoints(), &cfg.speculation))
         }
         EngineKind::InvisiContinuous { commit_on_violate } => {
-            let mut spec = cfg.speculation;
-            spec.checkpoints = spec.checkpoints.max(2);
-            spec.commit_on_violate = commit_on_violate;
-            Box::new(InvisiContinuousEngine::with_speculation(spec))
+            Box::new(InvisiContinuousEngine::new(commit_on_violate, &cfg.speculation))
         }
         EngineKind::Aso(model) => Box::new(AsoEngine::new(model, cfg)),
     }
@@ -62,11 +59,16 @@ mod tests {
 
     #[test]
     fn continuous_engine_builds_even_from_single_checkpoint_config() {
-        // A config whose speculation block was not adjusted still yields a
-        // working continuous engine (it needs two checkpoints internally).
-        let mut cfg = MachineConfig::with_engine(EngineKind::Conventional(Rmo));
-        cfg.speculation.checkpoints = 1;
+        // The variant comes from the requested kind, not from the config:
+        // a config made for a one-checkpoint engine still yields the
+        // two-checkpoint variants, and a two-checkpoint one a single-
+        // checkpoint engine.
+        let cfg = MachineConfig::with_engine(EngineKind::Conventional(Rmo));
         let engine = build_engine(EngineKind::InvisiContinuous { commit_on_violate: false }, &cfg);
         assert_eq!(engine.name(), "Invisi_cont");
+        let engine = build_engine(EngineKind::InvisiSelectiveTwoCkpt(Sc), &cfg);
+        assert_eq!(engine.name(), "Invisi_sc-2ckpt");
+        let two = MachineConfig::with_engine(EngineKind::InvisiSelectiveTwoCkpt(Sc));
+        assert_eq!(build_engine(EngineKind::InvisiSelective(Sc), &two).name(), "Invisi_sc");
     }
 }

@@ -14,12 +14,23 @@
 //!   blocks, flash-invalidation of the episode's store-buffer entries, and
 //!   re-attribution of the episode's cycles to the `Violation` bucket;
 //! * **violation detection** — matching external coherence requests against
-//!   the speculatively-read/written bits.
+//!   the speculatively-read/written bits;
+//! * **violation handling** — aborting and rolling back to the conflicting
+//!   episode's checkpoint, or, under commit-on-violate (Section 6.6),
+//!   deferring the request for a bounded interval so the episode can commit
+//!   first;
+//! * **eviction pressure** — committing every episode when a fill would
+//!   evict a speculatively-accessed line, or aborting (a structural abort)
+//!   when the store buffer still holds stores;
+//! * **forward progress** — after an abort that leaves no episode open, the
+//!   next instruction must retire non-speculatively.
 //!
-//! Policies (selective, continuous, commit-on-violate) live in the engine
-//! types that embed this kernel.
+//! The engine types that embed this kernel decide only what differs between
+//! the paper's variants: when an episode begins and when it commits.
 
-use ifence_cpu::{CoreMem, RetireCtx, RetireOutcome};
+use ifence_cpu::{
+    CoreMem, DeferResolution, ExternalKind, ExternalOutcome, RetireCtx, RetireOutcome,
+};
 use ifence_stats::{CoreStats, ProvisionalBreakdown, TraceKind};
 use ifence_types::{Addr, BlockAddr, Cycle, CycleClass, InstrKind, StallReason};
 
@@ -42,17 +53,44 @@ pub struct SpeculationKernel {
     episodes: Vec<Episode>,
     prov: [ProvisionalBreakdown; 2],
     max_episodes: usize,
+    /// Commit-on-violate deferral window; `None` aborts on every conflict.
+    cov_timeout: Option<Cycle>,
+    /// Set when an abort leaves no episode open: the next instruction must
+    /// retire non-speculatively before another episode may begin.
+    must_retire_nonspec: bool,
 }
 
 impl SpeculationKernel {
     /// Creates a kernel supporting up to `max_episodes` in-flight checkpoints
-    /// (clamped to 1..=2, the hardware budget of Section 3.1).
-    pub fn new(max_episodes: usize) -> Self {
+    /// (clamped to 1..=2, the hardware budget of Section 3.1). With
+    /// `cov_timeout` set, a conflicting external request is deferred for that
+    /// many cycles instead of aborting at once (commit-on-violate).
+    pub fn new(max_episodes: usize, cov_timeout: Option<Cycle>) -> Self {
         SpeculationKernel {
             episodes: Vec::new(),
             prov: [ProvisionalBreakdown::new(), ProvisionalBreakdown::new()],
             max_episodes: max_episodes.clamp(1, 2),
+            cov_timeout,
+            must_retire_nonspec: false,
         }
+    }
+
+    /// Whether the commit-on-violate policy is enabled.
+    pub fn commit_on_violate(&self) -> bool {
+        self.cov_timeout.is_some()
+    }
+
+    /// True after an abort left no episode open and no instruction has
+    /// retired non-speculatively since: the engine must retire the next one
+    /// outside any episode, which guarantees forward progress.
+    pub fn must_retire_nonspec(&self) -> bool {
+        self.must_retire_nonspec
+    }
+
+    /// Records that an instruction retired outside any episode, which meets
+    /// the forward-progress requirement.
+    pub fn note_nonspec_retire(&mut self) {
+        self.must_retire_nonspec = false;
     }
 
     /// True while at least one episode is in flight.
@@ -215,12 +253,23 @@ impl SpeculationKernel {
             return false;
         }
         let oldest = self.episodes.remove(0);
-        mem.l1.flash_clear_epoch(oldest.slot);
-        self.prov[oldest.slot].commit_into(&mut stats.breakdown);
-        stats.counters.speculations_committed += 1;
-        stats.hists.episode_len.record(oldest.retired as u64);
-        stats.trace.emit(TraceKind::SpecCommit, oldest.retired as u64);
+        Self::commit_episode(&mut self.prov[oldest.slot], oldest, mem, stats);
         true
+    }
+
+    /// The commit bookkeeping of one episode: flash-clear its speculative
+    /// bits and move its provisional cycles into the breakdown.
+    fn commit_episode(
+        prov: &mut ProvisionalBreakdown,
+        episode: Episode,
+        mem: &mut CoreMem,
+        stats: &mut CoreStats,
+    ) {
+        mem.l1.flash_clear_epoch(episode.slot);
+        prov.commit_into(&mut stats.breakdown);
+        stats.counters.speculations_committed += 1;
+        stats.hists.episode_len.record(episode.retired as u64);
+        stats.trace.emit(TraceKind::SpecCommit, episode.retired as u64);
     }
 
     /// Commits every in-flight episode at once, which is possible exactly when
@@ -230,20 +279,16 @@ impl SpeculationKernel {
         if self.episodes.is_empty() || !mem.sb.is_empty() {
             return false;
         }
-        for ep in self.episodes.drain(..) {
-            mem.l1.flash_clear_epoch(ep.slot);
-            self.prov[ep.slot].commit_into(&mut stats.breakdown);
-            stats.counters.speculations_committed += 1;
-            stats.hists.episode_len.record(ep.retired as u64);
-            stats.trace.emit(TraceKind::SpecCommit, ep.retired as u64);
-        }
+        self.finalize(mem, stats);
         true
     }
 
     /// Aborts the episode at `position` and every younger episode: speculative
     /// writes are flash-invalidated from the L1, speculative store-buffer
     /// entries discarded, and all provisional cycles charged to `Violation`.
-    /// Returns the program index at which execution must resume.
+    /// An abort that leaves no episode open sets the forward-progress
+    /// requirement ([`SpeculationKernel::must_retire_nonspec`]). Returns the
+    /// program index at which execution must resume.
     pub fn abort_from(
         &mut self,
         position: usize,
@@ -261,6 +306,9 @@ impl SpeculationKernel {
             stats.counters.speculations_aborted += 1;
             stats.hists.episode_len.record(ep.retired as u64);
             stats.trace.emit(TraceKind::SpecAbort, ep.retired as u64);
+        }
+        if self.episodes.is_empty() {
+            self.must_retire_nonspec = true;
         }
         resume_at
     }
@@ -300,13 +348,81 @@ impl SpeculationKernel {
     /// trivially satisfied, and at the end of a simulation so provisional
     /// cycles are not lost).
     pub fn finalize(&mut self, mem: &mut CoreMem, stats: &mut CoreStats) {
-        for ep in self.episodes.drain(..) {
-            mem.l1.flash_clear_epoch(ep.slot);
-            self.prov[ep.slot].commit_into(&mut stats.breakdown);
-            stats.counters.speculations_committed += 1;
-            stats.hists.episode_len.record(ep.retired as u64);
-            stats.trace.emit(TraceKind::SpecCommit, ep.retired as u64);
+        for episode in self.episodes.drain(..) {
+            Self::commit_episode(&mut self.prov[episode.slot], episode, mem, stats);
         }
+    }
+
+    /// The oldest program index a rollback could resume at: the oldest
+    /// episode's checkpoint, `None` outside speculation.
+    pub fn rollback_floor(&self) -> Option<usize> {
+        self.oldest().map(|e| e.checkpoint)
+    }
+
+    /// Violation detection for an external request: no conflict is acked at
+    /// once; a conflict is deferred until `now + cov_timeout` under
+    /// commit-on-violate, and otherwise aborts the conflicting episode (and
+    /// every younger one) and rolls back to its checkpoint.
+    pub fn on_external(
+        &mut self,
+        mem: &mut CoreMem,
+        stats: &mut CoreStats,
+        block: BlockAddr,
+        kind: ExternalKind,
+        now: Cycle,
+    ) -> ExternalOutcome {
+        let Some(position) = self.conflict_position(mem, block, kind.is_write()) else {
+            return ExternalOutcome::Ack;
+        };
+        match self.cov_timeout {
+            Some(timeout) => ExternalOutcome::Defer { until: now + timeout },
+            None => ExternalOutcome::AckAfterRollback {
+                resume_at: self.abort_from(position, mem, stats),
+            },
+        }
+    }
+
+    /// Resolves a request deferred by [`SpeculationKernel::on_external`]:
+    /// acked once the conflict is gone (a CoV commit), aborted and rolled
+    /// back once `deadline` has passed with the conflict still live (a CoV
+    /// timeout), left waiting otherwise.
+    pub fn resolve_deferred(
+        &mut self,
+        mem: &mut CoreMem,
+        stats: &mut CoreStats,
+        block: BlockAddr,
+        kind: ExternalKind,
+        deadline: Cycle,
+        now: Cycle,
+    ) -> DeferResolution {
+        match self.conflict_position(mem, block, kind.is_write()) {
+            None => {
+                stats.counters.cov_commits += 1;
+                DeferResolution::Ack
+            }
+            Some(position) if now >= deadline => {
+                stats.counters.cov_timeouts += 1;
+                DeferResolution::AckAfterRollback {
+                    resume_at: self.abort_from(position, mem, stats),
+                }
+            }
+            Some(_) => DeferResolution::Wait,
+        }
+    }
+
+    /// Called when a fill would evict a speculatively-accessed line: commits
+    /// every episode if the store buffer is empty, and otherwise aborts them
+    /// all (a structural abort). Returns the resume index if it aborted.
+    pub fn on_spec_eviction_pressure(
+        &mut self,
+        mem: &mut CoreMem,
+        stats: &mut CoreStats,
+    ) -> Option<usize> {
+        if !self.speculating() || self.commit_all(mem, stats) {
+            return None;
+        }
+        stats.counters.speculations_aborted_structural += 1;
+        Some(self.abort_from(0, mem, stats))
     }
 }
 
@@ -355,7 +471,7 @@ mod tests {
     #[test]
     fn begin_assigns_distinct_slots_up_to_max() {
         let (_, mut stats) = mem_and_stats();
-        let mut k = SpeculationKernel::new(2);
+        let mut k = SpeculationKernel::new(2, None);
         assert!(!k.speculating());
         let s0 = k.begin(10, &mut stats).unwrap();
         let s1 = k.begin(20, &mut stats).unwrap();
@@ -370,7 +486,7 @@ mod tests {
     #[test]
     fn single_checkpoint_kernel_refuses_second_episode() {
         let (_, mut stats) = mem_and_stats();
-        let mut k = SpeculationKernel::new(1);
+        let mut k = SpeculationKernel::new(1, None);
         k.begin(0, &mut stats).unwrap();
         assert!(k.begin(5, &mut stats).is_none());
     }
@@ -379,7 +495,7 @@ mod tests {
     fn speculative_load_marks_read_bit_and_fence_retires_freely() {
         let (mut mem, mut stats) = mem_and_stats();
         mem.l1.fill(blk(0x1000), LineState::Shared, BlockData::zeroed());
-        let mut k = SpeculationKernel::new(1);
+        let mut k = SpeculationKernel::new(1, None);
         let slot = k.begin(0, &mut stats).unwrap();
         assert_eq!(
             retire(&mut k, &mut mem, &mut stats, Instruction::load(Addr::new(0x1000)), 0),
@@ -398,7 +514,7 @@ mod tests {
     fn speculative_store_hit_writes_l1_and_marks_written() {
         let (mut mem, mut stats) = mem_and_stats();
         mem.l1.fill(blk(0x2000), LineState::Exclusive, BlockData::zeroed());
-        let mut k = SpeculationKernel::new(1);
+        let mut k = SpeculationKernel::new(1, None);
         let slot = k.begin(0, &mut stats).unwrap();
         retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x2000), 7), 0);
         assert!(mem.l1.is_spec_written(blk(0x2000), slot));
@@ -409,7 +525,7 @@ mod tests {
     #[test]
     fn speculative_store_miss_goes_to_buffer_with_epoch_tag() {
         let (mut mem, mut stats) = mem_and_stats();
-        let mut k = SpeculationKernel::new(1);
+        let mut k = SpeculationKernel::new(1, None);
         let slot = k.begin(0, &mut stats).unwrap();
         retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x3000), 9), 0);
         assert_eq!(mem.sb.epoch_len(Some(slot as u8)), 1);
@@ -420,7 +536,7 @@ mod tests {
     #[test]
     fn commit_all_requires_empty_store_buffer() {
         let (mut mem, mut stats) = mem_and_stats();
-        let mut k = SpeculationKernel::new(1);
+        let mut k = SpeculationKernel::new(1, None);
         k.begin(0, &mut stats).unwrap();
         retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x3000), 9), 0);
         assert!(!k.commit_all(&mut mem, &mut stats), "buffered store blocks commit");
@@ -438,7 +554,7 @@ mod tests {
     fn abort_discards_speculative_state_and_charges_violation() {
         let (mut mem, mut stats) = mem_and_stats();
         mem.l1.fill(blk(0x2000), LineState::Exclusive, BlockData::from_words([1; 8]));
-        let mut k = SpeculationKernel::new(1);
+        let mut k = SpeculationKernel::new(1, None);
         k.begin(42, &mut stats).unwrap();
         k.record_cycles(CycleClass::Busy, 1, &mut stats);
         k.record_cycles(CycleClass::Other, 1, &mut stats);
@@ -464,7 +580,7 @@ mod tests {
         let (mut mem, mut stats) = mem_and_stats();
         mem.l1.fill(blk(0x1000), LineState::Shared, BlockData::zeroed());
         mem.l1.fill(blk(0x2000), LineState::Exclusive, BlockData::zeroed());
-        let mut k = SpeculationKernel::new(1);
+        let mut k = SpeculationKernel::new(1, None);
         k.begin(0, &mut stats).unwrap();
         retire(&mut k, &mut mem, &mut stats, Instruction::load(Addr::new(0x1000)), 0);
         retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x2000), 1), 1);
@@ -484,7 +600,7 @@ mod tests {
         let (mut mem, mut stats) = mem_and_stats();
         mem.l1.fill(blk(0x1000), LineState::Exclusive, BlockData::zeroed());
         mem.l1.fill(blk(0x2000), LineState::Exclusive, BlockData::zeroed());
-        let mut k = SpeculationKernel::new(2);
+        let mut k = SpeculationKernel::new(2, None);
         k.begin(0, &mut stats).unwrap();
         retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x1000), 1), 0);
         k.begin(10, &mut stats).unwrap();
@@ -504,7 +620,7 @@ mod tests {
     fn younger_episode_store_to_older_block_stays_in_buffer() {
         let (mut mem, mut stats) = mem_and_stats();
         mem.l1.fill(blk(0x1000), LineState::Exclusive, BlockData::zeroed());
-        let mut k = SpeculationKernel::new(2);
+        let mut k = SpeculationKernel::new(2, None);
         k.begin(0, &mut stats).unwrap();
         retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x1000), 1), 0);
         k.begin(5, &mut stats).unwrap();
@@ -522,7 +638,7 @@ mod tests {
     fn try_commit_oldest_respects_closure_and_drain_requirements() {
         let (mut mem, mut stats) = mem_and_stats();
         mem.l1.fill(blk(0x1000), LineState::Exclusive, BlockData::zeroed());
-        let mut k = SpeculationKernel::new(2);
+        let mut k = SpeculationKernel::new(2, None);
         k.begin(0, &mut stats).unwrap();
         retire(&mut k, &mut mem, &mut stats, Instruction::store(Addr::new(0x1000), 1), 0);
         assert!(!k.try_commit_oldest(&mut mem, &mut stats, true), "not closed yet");
@@ -533,7 +649,7 @@ mod tests {
     #[test]
     fn finalize_preserves_provisional_cycles() {
         let (mut mem, mut stats) = mem_and_stats();
-        let mut k = SpeculationKernel::new(1);
+        let mut k = SpeculationKernel::new(1, None);
         k.begin(0, &mut stats).unwrap();
         k.record_cycles(CycleClass::Busy, 2, &mut stats);
         assert_eq!(stats.breakdown.total(), 0);

@@ -10,22 +10,28 @@
 //!   speculate only when retirement would otherwise stall for an ordering
 //!   constraint of the target model (SC, TSO, or RMO); commit
 //!   opportunistically, in constant time, as soon as the store buffer drains.
-//!   Supports the optional second in-flight checkpoint of Section 6.4.
+//!   One checkpoint, or two for the variant of Section 6.4.
 //! * [`InvisiContinuousEngine`] — InvisiFence-Continuous (Section 4.2):
 //!   execute everything inside speculative chunks (≥ ~100 instructions),
-//!   subsuming the in-window ordering mechanism, with pipelined chunk commit
-//!   over two checkpoints and the optional commit-on-violate deferral policy
-//!   (Section 6.6).
+//!   with pipelined chunk commit over two checkpoints and the optional
+//!   commit-on-violate deferral policy (Section 6.6).
 //! * [`AsoEngine`] — the ASO baseline of Wenisch et al. (Section 6.4's
 //!   comparison): per-store speculative state in a Scalable Store Buffer,
 //!   commit by draining into the L2 while stalling external requests, and
 //!   periodic intermediate checkpoints for partial rollback.
 //!
-//! All engines share the mechanism layer in [`kernel`]: register checkpoints,
-//! per-block speculatively-read/written bits in the L1 (flash-clear commit,
-//! conditional flash-invalidate abort), a coalescing store buffer with
-//! per-epoch flash invalidation, and violation detection driven by external
-//! coherence requests.
+//! [`build_engine`] turns an [`ifence_types::EngineKind`] into one of these
+//! (or a conventional engine); the kind alone selects the variant — the
+//! checkpoint count and whether commit-on-violate is on.
+//!
+//! Both InvisiFence engines embed the mechanism layer in [`kernel`]: register
+//! checkpoints, per-block speculatively-read/written bits in the L1
+//! (flash-clear commit, conditional flash-invalidate abort), a coalescing
+//! store buffer with per-epoch flash invalidation, violation detection and
+//! handling (abort, or a commit-on-violate deferral), the response to
+//! eviction pressure, and the forward-progress rule after an abort. The
+//! engine types add only their policy: when an episode begins and when it
+//! commits.
 //!
 //! # Example
 //!

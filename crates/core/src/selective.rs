@@ -3,21 +3,19 @@
 
 use crate::kernel::SpeculationKernel;
 use ifence_cpu::{
-    CoreMem, DeferResolution, EngineAction, ExternalKind, ExternalOutcome, OrderingEngine,
-    RetireCtx, RetireOutcome,
+    CoreMem, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx, RetireOutcome,
 };
 use ifence_stats::CoreStats;
 use ifence_types::{
-    Addr, BlockAddr, ConsistencyModel, Cycle, CycleClass, InstrKind, MachineConfig, StallReason,
+    BlockAddr, ConsistencyModel, Cycle, CycleClass, InstrKind, SpeculationConfig, StallReason,
 };
 
 /// Outcome of attempting to retire an instruction non-speculatively under the
 /// target consistency model.
 enum NonSpecOutcome {
-    /// Retired without speculation (side effects already applied).
-    Retired,
-    /// Structural stall (store buffer full); speculation would not help.
-    Stall(StallReason),
+    /// Retired without speculation (side effects already applied), or stalled
+    /// for a reason speculation would not help (store buffer full).
+    Done(RetireOutcome),
     /// The model imposes an ordering stall here — the trigger to speculate.
     Speculate,
 }
@@ -37,46 +35,32 @@ enum NonSpecOutcome {
 ///   permission.
 /// * **RMO** — a memory fence with a non-empty store buffer, or an atomic
 ///   stalled on a store miss.
+///
+/// Violations always abort, so no external request is ever deferred:
+/// commit-on-violate belongs to [`crate::InvisiContinuousEngine`], the only
+/// variant the paper evaluates it with.
 #[derive(Debug)]
 pub struct InvisiSelectiveEngine {
     model: ConsistencyModel,
     kernel: SpeculationKernel,
-    commit_on_violate: bool,
-    cov_timeout: Cycle,
     second_checkpoint_after: usize,
-    must_retire_nonspec: bool,
 }
 
 impl InvisiSelectiveEngine {
-    /// Creates a selective engine enforcing `model` with the speculation
-    /// parameters of `cfg` (checkpoint count, commit-on-violate policy).
-    pub fn new(model: ConsistencyModel, cfg: &MachineConfig) -> Self {
-        Self::with_speculation(model, cfg.speculation)
-    }
-
-    /// Creates a selective engine from just the speculation parameters (the
-    /// only part of the machine configuration it needs — the construction
-    /// path avoids cloning a whole `MachineConfig` per core).
-    pub fn with_speculation(
+    /// Creates a selective engine enforcing `model` with `checkpoints`
+    /// in-flight checkpoints (1, or 2 for the variant of Section 6.4). With
+    /// two, the second opens once the first episode has retired
+    /// `speculation.aso_checkpoint_interval` instructions.
+    pub fn new(
         model: ConsistencyModel,
-        speculation: ifence_types::SpeculationConfig,
+        checkpoints: usize,
+        speculation: &SpeculationConfig,
     ) -> Self {
         InvisiSelectiveEngine {
             model,
-            kernel: SpeculationKernel::new(speculation.checkpoints),
-            commit_on_violate: speculation.commit_on_violate,
-            cov_timeout: speculation.cov_timeout,
+            kernel: SpeculationKernel::new(checkpoints, None),
             second_checkpoint_after: speculation.aso_checkpoint_interval.max(1),
-            must_retire_nonspec: false,
         }
-    }
-
-    /// Creates an engine with an explicit checkpoint count (1 or 2),
-    /// independent of a full machine configuration.
-    pub fn with_checkpoints(model: ConsistencyModel, checkpoints: usize) -> Self {
-        let mut cfg = MachineConfig::with_engine(ifence_types::EngineKind::InvisiSelective(model));
-        cfg.speculation.checkpoints = checkpoints;
-        Self::new(model, &cfg)
     }
 
     /// The consistency model this engine enforces.
@@ -89,43 +73,28 @@ impl InvisiSelectiveEngine {
         &self.kernel
     }
 
-    fn store_non_speculative(
-        &self,
-        ctx: &mut RetireCtx<'_>,
-        addr: Addr,
-        value: u64,
-    ) -> NonSpecOutcome {
-        if ctx.mem.store_to_l1(addr, value, None, &mut ctx.stats.counters) {
-            return NonSpecOutcome::Retired;
-        }
-        match ctx.mem.store_to_sb(addr, value, None, ctx.now, ctx.stats) {
-            Ok(()) => NonSpecOutcome::Retired,
-            Err(_) => NonSpecOutcome::Stall(StallReason::StoreBufferFull),
-        }
-    }
-
     fn retire_non_speculative(&self, ctx: &mut RetireCtx<'_>) -> NonSpecOutcome {
         let sb_empty = ctx.mem.sb_empty();
         match ctx.entry.instr.kind {
-            InstrKind::Op(_) => NonSpecOutcome::Retired,
+            InstrKind::Op(_) => NonSpecOutcome::Done(RetireOutcome::Retired),
             InstrKind::Load(_) => {
                 if self.model == ConsistencyModel::Sc && !sb_empty {
                     NonSpecOutcome::Speculate
                 } else {
-                    NonSpecOutcome::Retired
+                    NonSpecOutcome::Done(RetireOutcome::Retired)
                 }
             }
             InstrKind::Fence(_) => {
                 if self.model != ConsistencyModel::Sc && !sb_empty {
                     NonSpecOutcome::Speculate
                 } else {
-                    NonSpecOutcome::Retired
+                    NonSpecOutcome::Done(RetireOutcome::Retired)
                 }
             }
             InstrKind::Store(addr, value) => match self.model {
                 // RMO never orders plain stores: hit into the cache, miss into
                 // the unordered buffer.
-                ConsistencyModel::Rmo => self.store_non_speculative(ctx, addr, value),
+                ConsistencyModel::Rmo => NonSpecOutcome::Done(ctx.store_to_l1_or_sb(addr, value)),
                 // SC/TSO must preserve store-store order, which the unordered
                 // coalescing buffer cannot: a store behind other pending
                 // stores triggers speculation.
@@ -133,7 +102,7 @@ impl InvisiSelectiveEngine {
                     if !sb_empty {
                         NonSpecOutcome::Speculate
                     } else {
-                        self.store_non_speculative(ctx, addr, value)
+                        NonSpecOutcome::Done(ctx.store_to_l1_or_sb(addr, value))
                     }
                 }
             },
@@ -153,19 +122,9 @@ impl InvisiSelectiveEngine {
                     );
                     return NonSpecOutcome::Speculate;
                 }
-                self.store_non_speculative(ctx, addr, value)
+                NonSpecOutcome::Done(ctx.store_to_l1_or_sb(addr, value))
             }
         }
-    }
-
-    fn abort(&mut self, position: usize, mem: &mut CoreMem, stats: &mut CoreStats) -> usize {
-        let resume = self.kernel.abort_from(position, mem, stats);
-        if !self.kernel.speculating() {
-            // Forward progress: at least one instruction must retire
-            // non-speculatively before the next speculation begins.
-            self.must_retire_nonspec = true;
-        }
-        resume
     }
 }
 
@@ -192,13 +151,14 @@ impl OrderingEngine for InvisiSelectiveEngine {
             return self.kernel.retire_speculative(ctx);
         }
         match self.retire_non_speculative(ctx) {
-            NonSpecOutcome::Retired => {
-                self.must_retire_nonspec = false;
-                RetireOutcome::Retired
+            NonSpecOutcome::Done(outcome) => {
+                if outcome == RetireOutcome::Retired {
+                    self.kernel.note_nonspec_retire();
+                }
+                outcome
             }
-            NonSpecOutcome::Stall(reason) => RetireOutcome::Stall(reason),
             NonSpecOutcome::Speculate => {
-                if self.must_retire_nonspec {
+                if self.kernel.must_retire_nonspec() {
                     // Guarantee forward progress by resolving this stall
                     // conventionally before speculating again.
                     return RetireOutcome::Stall(StallReason::StoreBufferDrain);
@@ -211,11 +171,10 @@ impl OrderingEngine for InvisiSelectiveEngine {
         }
     }
 
-    fn tick(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, _now: Cycle) -> Vec<EngineAction> {
+    fn tick(&mut self, mem: &mut CoreMem, stats: &mut CoreStats, _now: Cycle) {
         // Opportunistic, constant-time commit: as soon as the stores the
         // episode depends on have drained.
         while self.kernel.try_commit_oldest(mem, stats, false) {}
-        Vec::new()
     }
 
     fn on_external(
@@ -226,43 +185,7 @@ impl OrderingEngine for InvisiSelectiveEngine {
         kind: ExternalKind,
         now: Cycle,
     ) -> ExternalOutcome {
-        match self.kernel.conflict_position(mem, block, kind.is_write()) {
-            None => ExternalOutcome::Ack,
-            Some(position) => {
-                if self.commit_on_violate {
-                    ExternalOutcome::Defer { until: now + self.cov_timeout }
-                } else {
-                    let resume_at = self.abort(position, mem, stats);
-                    ExternalOutcome::AckAfterRollback { resume_at }
-                }
-            }
-        }
-    }
-
-    fn resolve_deferred(
-        &mut self,
-        mem: &mut CoreMem,
-        stats: &mut CoreStats,
-        block: BlockAddr,
-        kind: ExternalKind,
-        deadline: Cycle,
-        now: Cycle,
-    ) -> DeferResolution {
-        match self.kernel.conflict_position(mem, block, kind.is_write()) {
-            None => {
-                stats.counters.cov_commits += 1;
-                DeferResolution::Ack
-            }
-            Some(position) => {
-                if now >= deadline {
-                    stats.counters.cov_timeouts += 1;
-                    let resume_at = self.abort(position, mem, stats);
-                    DeferResolution::AckAfterRollback { resume_at }
-                } else {
-                    DeferResolution::Wait
-                }
-            }
-        }
+        self.kernel.on_external(mem, stats, block, kind, now)
     }
 
     fn speculating(&self) -> bool {
@@ -270,7 +193,7 @@ impl OrderingEngine for InvisiSelectiveEngine {
     }
 
     fn rollback_floor(&self) -> Option<usize> {
-        self.kernel.oldest().map(|e| e.checkpoint)
+        self.kernel.rollback_floor()
     }
 
     fn can_drain(&self, epoch: Option<u8>) -> bool {
@@ -282,16 +205,8 @@ impl OrderingEngine for InvisiSelectiveEngine {
         mem: &mut CoreMem,
         stats: &mut CoreStats,
         _now: Cycle,
-    ) -> Vec<EngineAction> {
-        if !self.kernel.speculating() {
-            return Vec::new();
-        }
-        if self.kernel.commit_all(mem, stats) {
-            return Vec::new();
-        }
-        stats.counters.speculations_aborted_structural += 1;
-        let resume_at = self.abort(0, mem, stats);
-        vec![EngineAction::Rollback { resume_at }]
+    ) -> Option<usize> {
+        self.kernel.on_spec_eviction_pressure(mem, stats)
     }
 
     fn record_cycles(&mut self, class: CycleClass, cycles: Cycle, stats: &mut CoreStats) {
@@ -321,7 +236,7 @@ mod tests {
     use ifence_coherence::{Delivery, TxnId};
     use ifence_cpu::Core;
     use ifence_mem::{BlockData, LineState};
-    use ifence_types::{CoreId, EngineKind, Instruction, Program};
+    use ifence_types::{Addr, CoreId, EngineKind, Instruction, MachineConfig, Program};
 
     fn cfg(model: ConsistencyModel) -> MachineConfig {
         MachineConfig::small_test(EngineKind::InvisiSelective(model))
@@ -331,14 +246,31 @@ mod tests {
         BlockAddr::containing(Addr::new(byte), 64)
     }
 
+    /// The selective engine `machine.engine` names (one or two checkpoints).
+    fn engine_for(machine: &MachineConfig) -> InvisiSelectiveEngine {
+        let kind = machine.engine;
+        InvisiSelectiveEngine::new(kind.model(), kind.checkpoints(), &machine.speculation)
+    }
+
+    fn core_on(machine: &MachineConfig, program: Program) -> Core {
+        Core::new(CoreId(0), program, machine, Box::new(engine_for(machine)))
+    }
+
     fn core_with(model: ConsistencyModel, program: Program) -> Core {
-        let machine = cfg(model);
-        Core::new(
-            CoreId(0),
-            program,
-            &machine,
-            Box::new(InvisiSelectiveEngine::new(model, &machine)),
-        )
+        core_on(&cfg(model), program)
+    }
+
+    fn fill(core: &mut Core, block: BlockAddr, now: u64) {
+        core.handle_delivery(
+            Delivery::Fill {
+                core: CoreId(0),
+                block,
+                state: LineState::Exclusive,
+                data: BlockData::zeroed(),
+                txn: TxnId(0),
+            },
+            now,
+        );
     }
 
     fn prefill(core: &mut Core, blocks: &[u64], state: LineState) {
@@ -363,16 +295,7 @@ mod tests {
                 pending.iter().filter(|(t, _)| *t <= now).map(|(_, b)| *b).collect();
             pending.retain(|(t, _)| *t > now);
             for block in due {
-                core.handle_delivery(
-                    Delivery::Fill {
-                        core: CoreId(0),
-                        block,
-                        state: LineState::Exclusive,
-                        data: BlockData::zeroed(),
-                        txn: TxnId(0),
-                    },
-                    now,
-                );
+                fill(core, block, now);
             }
             core.step(now);
             if core.finished() {
@@ -383,16 +306,11 @@ mod tests {
 
     #[test]
     fn engine_names_match_paper_labels() {
-        let machine = cfg(ConsistencyModel::Sc);
-        assert_eq!(InvisiSelectiveEngine::new(ConsistencyModel::Sc, &machine).name(), "Invisi_sc");
-        assert_eq!(
-            InvisiSelectiveEngine::with_checkpoints(ConsistencyModel::Sc, 2).name(),
-            "Invisi_sc-2ckpt"
-        );
-        assert_eq!(
-            InvisiSelectiveEngine::new(ConsistencyModel::Rmo, &machine).model(),
-            ConsistencyModel::Rmo
-        );
+        assert_eq!(engine_for(&cfg(ConsistencyModel::Sc)).name(), "Invisi_sc");
+        let two =
+            MachineConfig::small_test(EngineKind::InvisiSelectiveTwoCkpt(ConsistencyModel::Sc));
+        assert_eq!(engine_for(&two).name(), "Invisi_sc-2ckpt");
+        assert_eq!(engine_for(&cfg(ConsistencyModel::Rmo)).model(), ConsistencyModel::Rmo);
     }
 
     #[test]
@@ -526,48 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn l2_recall_defers_under_commit_on_violate() {
-        // Under commit-on-violate the recall is deferred, exactly like a
-        // remote writer's invalidation, giving the episode a chance to
-        // commit before the line is surrendered.
-        let machine = {
-            let mut m = cfg(ConsistencyModel::Rmo);
-            m.speculation.commit_on_violate = true;
-            m.speculation.cov_timeout = 4000;
-            m
-        };
-        let mut program = Program::new();
-        program.push(Instruction::store(Addr::new(0x9000), 1)); // miss
-        program.push(Instruction::fence());
-        program.push(Instruction::load(Addr::new(0x1000)));
-        let mut core = Core::new(
-            CoreId(0),
-            program,
-            &machine,
-            Box::new(InvisiSelectiveEngine::new(ConsistencyModel::Rmo, &machine)),
-        );
-        prefill(&mut core, &[0x1000], LineState::Exclusive);
-        for now in 0..20 {
-            core.step(now);
-        }
-        assert!(core.speculating());
-        let reply = core.handle_delivery(
-            Delivery::Invalidate {
-                core: CoreId(0),
-                block: blk(0x1000),
-                txn: TxnId(12),
-                requester: CoreId(0),
-                recall: true,
-            },
-            20,
-        );
-        assert!(matches!(reply, Some(ifence_coherence::SnoopReply::Defer { .. })));
-        assert_eq!(core.stats().counters.cov_deferrals, 1);
-        assert_eq!(core.stats().counters.l2_recalls_received, 1);
-        assert!(core.speculating(), "the deferred recall leaves the episode alive");
-    }
-
-    #[test]
     fn external_request_without_conflict_does_not_abort() {
         let mut program = Program::new();
         program.push(Instruction::store(Addr::new(0x9000), 1));
@@ -594,118 +470,6 @@ mod tests {
     }
 
     #[test]
-    fn commit_on_violate_defers_and_commits_when_stores_complete() {
-        let machine = {
-            let mut m = cfg(ConsistencyModel::Rmo);
-            m.speculation.commit_on_violate = true;
-            m.speculation.cov_timeout = 4000;
-            m
-        };
-        let mut program = Program::new();
-        program.push(Instruction::store(Addr::new(0x9000), 1)); // miss
-        program.push(Instruction::fence());
-        program.push(Instruction::load(Addr::new(0x1000)));
-        let mut core = Core::new(
-            CoreId(0),
-            program,
-            &machine,
-            Box::new(InvisiSelectiveEngine::new(ConsistencyModel::Rmo, &machine)),
-        );
-        prefill(&mut core, &[0x1000], LineState::Exclusive);
-        for now in 0..20 {
-            core.step(now);
-        }
-        assert!(core.speculating());
-        // Conflicting external request is deferred rather than aborting.
-        let reply = core.handle_delivery(
-            Delivery::Invalidate {
-                core: CoreId(0),
-                block: blk(0x1000),
-                txn: TxnId(2),
-                requester: CoreId(1),
-                recall: false,
-            },
-            20,
-        );
-        assert!(matches!(reply, Some(ifence_coherence::SnoopReply::Defer { .. })));
-        assert_eq!(core.stats().counters.cov_deferrals, 1);
-        // Complete the store miss: the speculation commits and the deferred
-        // acknowledgement is released without any rollback.
-        core.handle_delivery(
-            Delivery::Fill {
-                core: CoreId(0),
-                block: blk(0x9000),
-                state: LineState::Exclusive,
-                data: BlockData::zeroed(),
-                txn: TxnId(0),
-            },
-            30,
-        );
-        let mut acked = false;
-        for now in 31..200 {
-            core.step(now);
-            for r in core.take_replies() {
-                if matches!(r, ifence_coherence::SnoopReply::Ack { .. }) {
-                    acked = true;
-                }
-            }
-            if acked {
-                break;
-            }
-        }
-        assert!(acked, "deferred request acknowledged after the commit");
-        assert_eq!(core.stats().counters.speculations_aborted, 0);
-        assert_eq!(core.stats().counters.cov_commits, 1);
-        assert!(core.stats().counters.speculations_committed >= 1);
-    }
-
-    #[test]
-    fn commit_on_violate_times_out_and_aborts() {
-        let machine = {
-            let mut m = cfg(ConsistencyModel::Rmo);
-            m.speculation.commit_on_violate = true;
-            m.speculation.cov_timeout = 50;
-            m
-        };
-        let mut program = Program::new();
-        program.push(Instruction::store(Addr::new(0x9000), 1)); // miss never serviced
-        program.push(Instruction::fence());
-        program.push(Instruction::load(Addr::new(0x1000)));
-        let mut core = Core::new(
-            CoreId(0),
-            program,
-            &machine,
-            Box::new(InvisiSelectiveEngine::new(ConsistencyModel::Rmo, &machine)),
-        );
-        prefill(&mut core, &[0x1000], LineState::Exclusive);
-        for now in 0..20 {
-            core.step(now);
-        }
-        core.handle_delivery(
-            Delivery::Invalidate {
-                core: CoreId(0),
-                block: blk(0x1000),
-                txn: TxnId(2),
-                requester: CoreId(1),
-                recall: false,
-            },
-            20,
-        );
-        let mut acked = false;
-        for now in 21..400 {
-            core.step(now);
-            for r in core.take_replies() {
-                if matches!(r, ifence_coherence::SnoopReply::Ack { .. }) {
-                    acked = true;
-                }
-            }
-        }
-        assert!(acked, "timeout forces the acknowledgement");
-        assert_eq!(core.stats().counters.cov_timeouts, 1);
-        assert_eq!(core.stats().counters.speculations_aborted, 1);
-    }
-
-    #[test]
     fn speculative_store_buffer_overflow_stalls_as_sb_full() {
         let mut machine = cfg(ConsistencyModel::Rmo);
         machine.store_buffer.entries = 2;
@@ -715,12 +479,7 @@ mod tests {
         for i in 0..6u64 {
             program.push(Instruction::store(Addr::new(0xa000 + i * 64), i)); // more misses
         }
-        let mut core = Core::new(
-            CoreId(0),
-            program,
-            &machine,
-            Box::new(InvisiSelectiveEngine::new(ConsistencyModel::Rmo, &machine)),
-        );
+        let mut core = core_on(&machine, program);
         for now in 0..60 {
             core.step(now);
         }
@@ -731,8 +490,8 @@ mod tests {
     #[test]
     fn two_checkpoint_engine_opens_second_episode() {
         let machine = {
-            let mut m = cfg(ConsistencyModel::Sc);
-            m.speculation.checkpoints = 2;
+            let mut m =
+                MachineConfig::small_test(EngineKind::InvisiSelectiveTwoCkpt(ConsistencyModel::Sc));
             m.speculation.aso_checkpoint_interval = 4;
             m.store_buffer.entries = 32;
             m
@@ -742,12 +501,7 @@ mod tests {
         for i in 0..16u64 {
             program.push(Instruction::load(Addr::new(0x1000 + (i % 2) * 64)));
         }
-        let mut core = Core::new(
-            CoreId(0),
-            program,
-            &machine,
-            Box::new(InvisiSelectiveEngine::new(ConsistencyModel::Sc, &machine)),
-        );
+        let mut core = core_on(&machine, program);
         prefill(&mut core, &[0x1000, 0x1040], LineState::Exclusive);
         for now in 0..40 {
             core.step(now);
@@ -763,9 +517,12 @@ mod tests {
         assert_eq!(core.stats().counters.speculations_committed, 2);
     }
 
-    fn gate_engine(checkpoints: usize) -> (InvisiSelectiveEngine, CoreMem, CoreStats) {
-        let engine = InvisiSelectiveEngine::with_checkpoints(ConsistencyModel::Sc, checkpoints);
-        (engine, CoreMem::new(CoreId(0), &cfg(ConsistencyModel::Sc)), CoreStats::new())
+    const ONE_CKPT: EngineKind = EngineKind::InvisiSelective(ConsistencyModel::Sc);
+    const TWO_CKPT: EngineKind = EngineKind::InvisiSelectiveTwoCkpt(ConsistencyModel::Sc);
+
+    fn gate_engine(kind: EngineKind) -> (InvisiSelectiveEngine, CoreMem, CoreStats) {
+        let machine = MachineConfig::small_test(kind);
+        (engine_for(&machine), CoreMem::new(CoreId(0), &machine), CoreStats::new())
     }
 
     /// Asserts the batching gate's answer, then that `tick` commits exactly
@@ -778,18 +535,18 @@ mod tests {
     ) {
         assert_eq!(engine.tick_due(mem, 0), due);
         let committed = stats.counters.speculations_committed;
-        assert!(engine.tick(mem, stats, 0).is_empty());
+        engine.tick(mem, stats, 0);
         assert_eq!(stats.counters.speculations_committed > committed, due);
     }
 
     #[test]
     fn tick_due_ignores_younger_epoch_entries() {
-        let (mut engine, mut mem, mut stats) = gate_engine(1);
+        let (mut engine, mut mem, mut stats) = gate_engine(ONE_CKPT);
         assert_gate(&mut engine, &mut mem, &mut stats, false);
         engine.kernel.begin(0, &mut stats).unwrap();
         assert_gate(&mut engine, &mut mem, &mut stats, true);
 
-        let (mut engine, mut mem, mut stats) = gate_engine(2);
+        let (mut engine, mut mem, mut stats) = gate_engine(TWO_CKPT);
         engine.kernel.begin(0, &mut stats).unwrap();
         let young = engine.kernel.begin(5, &mut stats).unwrap() as u8;
         mem.sb.push(Addr::new(0x3000), 1, Some(young)).unwrap();
@@ -801,12 +558,12 @@ mod tests {
 
     #[test]
     fn tick_due_blocked_by_non_speculative_and_oldest_epoch_entries() {
-        let (mut engine, mut mem, mut stats) = gate_engine(1);
+        let (mut engine, mut mem, mut stats) = gate_engine(ONE_CKPT);
         mem.sb.push(Addr::new(0x3000), 1, None).unwrap();
         engine.kernel.begin(0, &mut stats).unwrap();
         assert_gate(&mut engine, &mut mem, &mut stats, false);
 
-        let (mut engine, mut mem, mut stats) = gate_engine(2);
+        let (mut engine, mut mem, mut stats) = gate_engine(TWO_CKPT);
         let old = engine.kernel.begin(0, &mut stats).unwrap() as u8;
         engine.kernel.begin(5, &mut stats).unwrap();
         mem.sb.push(Addr::new(0x3000), 1, Some(old)).unwrap();
@@ -835,16 +592,7 @@ mod tests {
         assert!(core.batch_ready(now));
         core.step(now);
         now += 1;
-        core.handle_delivery(
-            Delivery::Fill {
-                core: CoreId(0),
-                block: blk(0x9000),
-                state: LineState::Exclusive,
-                data: BlockData::zeroed(),
-                txn: TxnId(0),
-            },
-            now,
-        );
+        fill(&mut core, blk(0x9000), now);
         // The buffer drains during this cycle, after the gate was checked.
         assert!(core.batch_ready(now));
         core.step(now);
@@ -855,5 +603,66 @@ mod tests {
         core.step(now);
         assert!(!core.speculating());
         assert_eq!(core.stats().counters.speculations_committed, 1);
+    }
+
+    /// An RMO episode whose two speculatively-read blocks fill both ways of
+    /// L1 set 0, with a load of a third set-0 block in flight: its fill must
+    /// evict a speculative line. The store miss to 0x9040 (set 1) that
+    /// triggered the episode stays buffered until it is filled.
+    fn core_under_eviction_pressure() -> Core {
+        let mut program = Program::new();
+        program.push(Instruction::store(Addr::new(0x9040), 1)); // miss -> buffer
+        program.push(Instruction::fence()); // trigger: checkpoint at index 1
+        program.push(Instruction::load(Addr::new(0x1000)));
+        program.push(Instruction::load(Addr::new(0x2000)));
+        program.push(Instruction::load(Addr::new(0x3000))); // miss, same set
+        let mut core = core_with(ConsistencyModel::Rmo, program);
+        prefill(&mut core, &[0x1000, 0x2000], LineState::Exclusive);
+        for now in 0..20 {
+            core.step(now);
+        }
+        assert!(core.speculating());
+        assert_eq!(core.retired_count(), 4);
+        assert!(core.mem.l1.fill_would_evict_spec(blk(0x3000)));
+        core
+    }
+
+    #[test]
+    fn eviction_pressure_commits_when_the_store_buffer_is_empty() {
+        let mut core = core_under_eviction_pressure();
+        // The store's fill drains the buffer in the next cycle; the episode
+        // stays open until the following cycle's commit.
+        fill(&mut core, blk(0x9040), 20);
+        core.step(20);
+        assert!(core.mem.sb_empty() && core.speculating());
+        fill(&mut core, blk(0x3000), 21);
+        let counters = &core.stats().counters;
+        assert_eq!(counters.speculations_committed, 1, "the fill forced the commit");
+        assert_eq!(counters.speculations_aborted, 0);
+        assert_eq!(counters.speculations_aborted_structural, 0);
+        assert!(!core.speculating());
+        assert!(!core.mem.l1.has_spec_lines());
+        assert_eq!(core.retired_count(), 4, "nothing rolled back");
+        run_with_autofill(&mut core, 2000, 60);
+        assert!(core.finished());
+        assert_eq!(core.retired_count(), 5);
+    }
+
+    #[test]
+    fn eviction_pressure_aborts_structurally_while_stores_are_buffered() {
+        let mut core = core_under_eviction_pressure();
+        fill(&mut core, blk(0x3000), 20);
+        let counters = &core.stats().counters;
+        assert_eq!(counters.speculations_aborted_structural, 1);
+        assert_eq!(counters.speculations_aborted, 1);
+        assert_eq!(counters.speculations_committed, 0);
+        assert!(!core.speculating());
+        assert_eq!(core.retired_count(), 1, "rolled back to the fence's checkpoint");
+        assert!(core.stats().counters.instructions_squashed > 0);
+        assert!(core.stats().breakdown.get(CycleClass::Violation) > 0);
+        run_with_autofill(&mut core, 4000, 60);
+        assert!(core.finished());
+        assert_eq!(core.retired_count(), 5);
+        assert_eq!(core.mem.read_value(Addr::new(0x9040)), Some(1));
     }
 }

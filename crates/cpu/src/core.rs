@@ -1,8 +1,7 @@
 //! The trace-driven out-of-order core model.
 
 use crate::engine::{
-    DeferResolution, EngineAction, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
-    RetireOutcome,
+    DeferResolution, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx, RetireOutcome,
 };
 use crate::mem_side::CoreMem;
 use crate::rob::Rob;
@@ -309,17 +308,6 @@ impl Core {
         self.issued_prefix = 0;
     }
 
-    fn apply_engine_actions(&mut self, actions: Vec<EngineAction>) {
-        if actions.is_empty() {
-            return;
-        }
-        for action in actions {
-            match action {
-                EngineAction::Rollback { resume_at } => self.rollback(resume_at),
-            }
-        }
-    }
-
     /// Handles one delivery from the coherence fabric, returning the snoop
     /// reply to send back (external requests only; fills need no reply).
     pub fn handle_delivery(&mut self, delivery: Delivery, now: Cycle) -> Option<SnoopReply> {
@@ -327,11 +315,13 @@ impl Core {
         match delivery {
             Delivery::Fill { block, state, data, .. } => {
                 if self.mem.l1.fill_would_evict_spec(block) {
-                    let actions = {
+                    let resume_at = {
                         let Core { mem, engine, stats, .. } = self;
                         engine.on_spec_eviction_pressure(mem, stats, now)
                     };
-                    self.apply_engine_actions(actions);
+                    if let Some(resume_at) = resume_at {
+                        self.rollback(resume_at);
+                    }
                 }
                 let mut waiters = std::mem::take(&mut self.fill_waiters);
                 self.mem.fill(block, state, data, now, &mut self.stats.counters, &mut waiters);
@@ -427,8 +417,20 @@ impl Core {
         }
     }
 
+    /// Conventional in-window ordering (load-queue snooping): a remote write
+    /// squashes and replays from the oldest load of `block` that performed
+    /// its read but has not yet retired.
+    ///
+    /// Every engine keeps this snoop, InvisiFence-Continuous included. The
+    /// paper's continuous mode subsumes it, because a load's
+    /// speculatively-read bit protects the load from execute to commit. In
+    /// this model a load can execute while one chunk is youngest and retire
+    /// into the next, so the earlier chunk's commit may clear its
+    /// execute-time marking before it retires; the snoop closes that window.
+    /// It is a conservative approximation: slightly more in-window replays,
+    /// the same ordering guarantees.
     fn in_window_snoop(&mut self, block: BlockAddr, kind: ExternalKind) {
-        if self.engine.subsumes_in_window() || !kind.is_write() {
+        if !kind.is_write() {
             return;
         }
         if let Some(entry) = self.rob.oldest_vulnerable_read_of(block) {
@@ -708,25 +710,20 @@ impl Core {
         self.stats.trace.set_now(now);
         let speculating_before = self.engine.speculating();
         let batched = self.batch_ready(now);
-        let mut engine_acted = false;
         let mut deferred_resolved = false;
         if !batched {
             // The engine gate, checked against what `tick` then does: a
-            // cycle the gate would have admitted must see no action, no
-            // episode opening or closing, and no commit.
+            // cycle the gate would have admitted must see no episode
+            // opening or closing, and no commit.
             #[cfg(debug_assertions)]
             let gate_closed = (!self.engine.tick_due(&self.mem, now))
                 .then_some(self.stats.counters.speculations_committed);
 
             // 1. Engine maintenance (opportunistic commit, chunk
             //    management, CoV).
-            let actions = {
-                let Core { mem, engine, stats, .. } = self;
-                engine.tick(mem, stats, now)
-            };
+            self.engine.tick(&mut self.mem, &mut self.stats, now);
             #[cfg(debug_assertions)]
             if let Some(committed_before) = gate_closed {
-                debug_assert!(actions.is_empty(), "tick acted while tick_due was false");
                 debug_assert_eq!(
                     self.engine.speculating(),
                     speculating_before,
@@ -737,8 +734,6 @@ impl Core {
                     "tick committed while tick_due was false"
                 );
             }
-            engine_acted = !actions.is_empty();
-            self.apply_engine_actions(actions);
 
             // 2. Resolve deferred external requests.
             deferred_resolved = self.resolve_deferred(now);
@@ -806,7 +801,6 @@ impl Core {
             || dispatched > 0
             || issued
             || drained > 0
-            || engine_acted
             || deferred_resolved
             || finalized
             || self.engine.speculating() != speculating_before;
@@ -1211,8 +1205,8 @@ mod tests {
         assert!(core.mem.awaiting_fabric());
     }
 
-    /// An engine that begins "speculating" on the first retirement and rolls
-    /// back when told to, for exercising the rollback plumbing.
+    /// An engine that answers its first external request with a rollback to
+    /// the start of the program, for exercising the rollback plumbing.
     struct RollbackProbe {
         rolled_back: bool,
     }
@@ -1227,17 +1221,19 @@ mod tests {
             }
             RetireOutcome::Retired
         }
-        fn tick(
+        fn on_external(
             &mut self,
             _mem: &mut CoreMem,
             _stats: &mut CoreStats,
-            now: Cycle,
-        ) -> Vec<EngineAction> {
-            if now == 3 && !self.rolled_back {
-                self.rolled_back = true;
-                vec![EngineAction::Rollback { resume_at: 0 }]
+            _block: BlockAddr,
+            _kind: ExternalKind,
+            _now: Cycle,
+        ) -> ExternalOutcome {
+            if self.rolled_back {
+                ExternalOutcome::Ack
             } else {
-                Vec::new()
+                self.rolled_back = true;
+                ExternalOutcome::AckAfterRollback { resume_at: 0 }
             }
         }
     }
@@ -1254,6 +1250,20 @@ mod tests {
             Core::new(CoreId(0), program, &cfg, Box::new(RollbackProbe { rolled_back: false }));
         prefill(&mut core, &[0x6000, 0x6040], LineState::Exclusive);
         for now in 0..200 {
+            if now == 3 {
+                let reply = core.handle_delivery(
+                    Delivery::Invalidate {
+                        core: CoreId(0),
+                        block: BlockAddr::containing(Addr::new(0x7000), 64),
+                        txn: TxnId(1),
+                        requester: CoreId(1),
+                        recall: false,
+                    },
+                    now,
+                );
+                assert!(matches!(reply, Some(SnoopReply::Ack { .. })));
+                assert_eq!(core.retired_count(), 0, "the rollback resumed at the program start");
+            }
             core.step(now);
             if core.finished() {
                 break;

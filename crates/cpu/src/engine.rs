@@ -8,11 +8,21 @@
 //! taking checkpoints). Speculative engines additionally react to external
 //! coherence requests (violation detection), manage commit/abort, and decide
 //! how each cycle is attributed to the paper's runtime-breakdown buckets.
+//!
+//! An engine rolls execution back in exactly two ways: an external request
+//! it answers with [`ExternalOutcome::AckAfterRollback`] (or, once deferred,
+//! [`DeferResolution::AckAfterRollback`]), and a fill that would evict a
+//! speculatively-accessed line, for which
+//! [`OrderingEngine::on_spec_eviction_pressure`] returns the resume index.
+//! Per-cycle maintenance ([`OrderingEngine::tick`]) only commits and clears
+//! timers. Every hook has a permissive default, so a non-speculative engine
+//! implements just [`OrderingEngine::name`], [`OrderingEngine::try_retire`]
+//! and, to be batched, [`OrderingEngine::tick_due`].
 
 use crate::mem_side::CoreMem;
 use crate::rob::RobEntry;
 use ifence_stats::CoreStats;
-use ifence_types::{BlockAddr, Cycle, CycleClass, InstrKind, StallReason};
+use ifence_types::{Addr, BlockAddr, Cycle, CycleClass, InstrKind, StallReason};
 
 /// Result of asking the engine to retire the head instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,17 +87,6 @@ pub enum DeferResolution {
     },
 }
 
-/// An action the engine asks the core to perform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineAction {
-    /// Squash the pipeline and resume fetching at the given program index
-    /// (speculation abort).
-    Rollback {
-        /// Program index at which execution resumes.
-        resume_at: usize,
-    },
-}
-
 /// Context handed to [`OrderingEngine::try_retire`].
 pub struct RetireCtx<'a> {
     /// The core's memory side (L1, store buffer, MSHRs, request path).
@@ -105,6 +104,19 @@ impl RetireCtx<'_> {
     /// checkpoint must record so an abort can replay from here.
     pub fn checkpoint_index(&self) -> usize {
         self.entry.program_index
+    }
+
+    /// Retires a non-speculative store: into the L1 when the block is
+    /// writable, otherwise into the store buffer, stalling as `SbFull` when
+    /// the buffer has no room.
+    pub fn store_to_l1_or_sb(&mut self, addr: Addr, value: u64) -> RetireOutcome {
+        if self.mem.store_to_l1(addr, value, None, &mut self.stats.counters) {
+            return RetireOutcome::Retired;
+        }
+        match self.mem.store_to_sb(addr, value, None, self.now, self.stats) {
+            Ok(()) => RetireOutcome::Retired,
+            Err(_) => RetireOutcome::Stall(StallReason::StoreBufferFull),
+        }
     }
 }
 
@@ -127,15 +139,11 @@ pub trait OrderingEngine: Send {
     fn on_load_issue(&mut self, _mem: &mut CoreMem, _block: BlockAddr) {}
 
     /// Per-cycle maintenance: opportunistic commit, chunk management, policy
-    /// timeouts. Returns actions (e.g. rollbacks) the core must perform.
-    fn tick(
-        &mut self,
-        _mem: &mut CoreMem,
-        _stats: &mut CoreStats,
-        _now: Cycle,
-    ) -> Vec<EngineAction> {
-        Vec::new()
-    }
+    /// timeouts. Maintenance never rolls execution back; aborts reach the
+    /// core through [`OrderingEngine::on_external`],
+    /// [`OrderingEngine::resolve_deferred`] and
+    /// [`OrderingEngine::on_spec_eviction_pressure`].
+    fn tick(&mut self, _mem: &mut CoreMem, _stats: &mut CoreStats, _now: Cycle) {}
 
     /// Reacts to an external coherence request for `block` (violation
     /// detection). The core applies the invalidation/downgrade to the L1 and
@@ -177,16 +185,9 @@ pub trait OrderingEngine: Send {
     /// then the core's safe trace-release point. Engines holding live
     /// checkpoints must report the oldest one so a streaming
     /// [`ifence_types::InstructionSource`] keeps its replay window open far
-    /// enough for `AckAfterRollback`/[`EngineAction::Rollback`] replays.
+    /// enough for every rollback replay.
     fn rollback_floor(&self) -> Option<usize> {
         None
-    }
-
-    /// True if the engine subsumes the in-window ordering mechanism (load
-    /// queue snooping), as InvisiFence-Continuous does; the core then skips
-    /// in-window replays.
-    fn subsumes_in_window(&self) -> bool {
-        false
     }
 
     /// Whether a store-buffer entry of the given epoch may drain into the L1
@@ -197,14 +198,15 @@ pub trait OrderingEngine: Send {
 
     /// Called when an incoming fill would evict a speculatively-accessed
     /// block: the engine must commit (if possible) or abort before the line
-    /// escapes. Returns rollback actions if it aborted.
+    /// escapes. Returns the program index to resume at if it aborted; the
+    /// core then squashes and replays from there.
     fn on_spec_eviction_pressure(
         &mut self,
         _mem: &mut CoreMem,
         _stats: &mut CoreStats,
         _now: Cycle,
-    ) -> Vec<EngineAction> {
-        Vec::new()
+    ) -> Option<usize> {
+        None
     }
 
     /// Records `cycles` elapsed cycles of the given class. Non-speculative
@@ -229,8 +231,8 @@ pub trait OrderingEngine: Send {
 
     /// Whether this engine's cycle-start maintenance could act at `now`:
     /// false only if [`OrderingEngine::tick`], run on this cycle's starting
-    /// state, would return no action, open or close no episode, commit
-    /// nothing and change no engine state. `false` is thus a proof that
+    /// state, would open or close no episode, commit nothing and change no
+    /// engine state. `false` is thus a proof that
     /// `tick` is a no-op this cycle, and lets [`crate::Core::step`] batch
     /// the cycle without the tick stage; every other engine
     /// interaction (`try_retire`, `can_drain`, `on_load_issue`, even one
@@ -271,13 +273,7 @@ impl OrderingEngine for FreeRetireEngine {
     fn try_retire(&mut self, ctx: &mut RetireCtx<'_>) -> RetireOutcome {
         match ctx.entry.instr.kind {
             InstrKind::Store(addr, value) | InstrKind::Atomic(addr, value) => {
-                if ctx.mem.store_to_l1(addr, value, None, &mut ctx.stats.counters) {
-                    return RetireOutcome::Retired;
-                }
-                match ctx.mem.store_to_sb(addr, value, None, ctx.now, ctx.stats) {
-                    Ok(()) => RetireOutcome::Retired,
-                    Err(_) => RetireOutcome::Stall(StallReason::StoreBufferFull),
-                }
+                ctx.store_to_l1_or_sb(addr, value)
             }
             _ => RetireOutcome::Retired,
         }
@@ -319,14 +315,14 @@ mod tests {
     fn default_hooks_are_permissive() {
         let mut engine = FreeRetireEngine;
         assert!(!engine.speculating());
-        assert!(!engine.subsumes_in_window());
         assert!(engine.can_drain(Some(1)));
         let mut stats = CoreStats::new();
         let cfg = ifence_types::MachineConfig::small_test(ifence_types::EngineKind::Conventional(
             ifence_types::ConsistencyModel::Rmo,
         ));
         let mut mem = CoreMem::new(ifence_types::CoreId(0), &cfg);
-        assert!(engine.tick(&mut mem, &mut stats, 0).is_empty());
+        engine.tick(&mut mem, &mut stats, 0);
+        assert_eq!(engine.on_spec_eviction_pressure(&mut mem, &mut stats, 0), None);
         let block = BlockAddr::containing(ifence_types::Addr::new(0x40), 64);
         assert_eq!(
             engine.on_external(&mut mem, &mut stats, block, ExternalKind::Invalidate, 0),

@@ -11,11 +11,14 @@
 //! [`OrderingEngine`]. Conventional SC/TSO/RMO engines live in
 //! `ifence-consistency`; the InvisiFence and ASO engines live in the
 //! `invisifence` crate. The engine owns all speculation state (checkpoints,
-//! speculative-bit management, commit/abort policy) and instructs the core to
-//! roll back by returning [`EngineAction::Rollback`].
+//! speculative-bit management, commit/abort policy) and tells the core to
+//! roll back by returning a resume index, from
+//! [`OrderingEngine::on_external`] (a violation) or
+//! [`OrderingEngine::on_spec_eviction_pressure`] (a speculative line about to
+//! be evicted).
 //!
 //! Per simulated cycle a core:
-//! 1. resolves deferred external requests and runs the engine's `tick`,
+//! 1. runs the engine's `tick` and resolves deferred external requests,
 //! 2. drains the store buffer into the L1 (subject to the engine's gate),
 //! 3. issues ready memory operations to the L1 / coherence fabric,
 //! 4. retires up to `width` instructions in order, consulting the engine,
@@ -37,8 +40,7 @@ pub mod rob;
 
 pub use crate::core::{Core, CoreSleep};
 pub use engine::{
-    DeferResolution, EngineAction, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx,
-    RetireOutcome,
+    DeferResolution, ExternalKind, ExternalOutcome, OrderingEngine, RetireCtx, RetireOutcome,
 };
 pub use mem_side::CoreMem;
 pub use rob::{Rob, RobEntry, RobView};

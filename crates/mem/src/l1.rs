@@ -44,6 +44,13 @@ impl EvictionAction {
 /// Mutating operations that displace lines queue the resulting
 /// [`EvictionAction`]s internally; the core collects them each cycle with
 /// [`L1Cache::take_writebacks`] and turns them into coherence traffic.
+///
+/// Fills delivered by the coherence fabric ask the ordering engine to commit
+/// or abort first when they would evict a speculatively-accessed line
+/// ([`L1Cache::fill_would_evict_spec`]). One corner is approximated: a
+/// victim-cache promotion that displaces a line from a set whose ways are
+/// all speculative evicts that line through the normal path, and the line
+/// loses its speculative marking. The case is very rare.
 #[derive(Debug, Clone)]
 pub struct L1Cache {
     cache: SetAssocCache,
@@ -109,7 +116,7 @@ impl L1Cache {
             // victim-cache promotion displacing a line from a set whose ways
             // are all speculative; the line's data still follows the normal
             // eviction path, at the cost of losing its speculative marking —
-            // a conservative, very rare approximation documented in DESIGN.md.
+            // the approximation noted on `L1Cache`.
             if evicted.state == LineState::Invalid {
                 return;
             }

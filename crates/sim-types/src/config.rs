@@ -207,19 +207,19 @@ impl InterconnectConfig {
 /// Policy parameters for post-retirement speculation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpeculationConfig {
-    /// Number of register checkpoints (1 for InvisiFence-Selective's default,
-    /// 2 for the two-checkpoint variant and for InvisiFence-Continuous).
-    pub checkpoints: usize,
     /// Minimum chunk size (retired instructions) before a continuous-mode
     /// chunk may close (the paper uses ~100 instructions).
     pub min_chunk_instructions: usize,
-    /// Commit-on-violate: defer an offending external request for up to
-    /// `cov_timeout` cycles, giving the speculation a chance to commit.
-    pub commit_on_violate: bool,
-    /// The CoV deferral timeout in cycles (the paper evaluates 4000).
+    /// The commit-on-violate deferral timeout in cycles (the paper evaluates
+    /// 4000): how long an engine with CoV holds back an offending external
+    /// request, giving the speculation a chance to commit. Only
+    /// [`EngineKind::InvisiContinuous`] with `commit_on_violate` reads it.
     pub cov_timeout: u64,
-    /// ASO: number of instructions between intermediate checkpoints taken
-    /// during a speculative episode (enables partial rollback).
+    /// Instructions between intermediate checkpoints taken during a
+    /// speculative episode. ASO takes one every interval (enabling partial
+    /// rollback); the two-checkpoint InvisiFence-Selective engine
+    /// ([`EngineKind::InvisiSelectiveTwoCkpt`]) opens its second checkpoint
+    /// once the first episode has retired this many instructions.
     pub aso_checkpoint_interval: usize,
     /// ASO: Scalable Store Buffer capacity (per-store entries).
     pub ssb_entries: usize,
@@ -230,9 +230,7 @@ pub struct SpeculationConfig {
 impl Default for SpeculationConfig {
     fn default() -> Self {
         SpeculationConfig {
-            checkpoints: 1,
             min_chunk_instructions: 100,
-            commit_on_violate: false,
             cov_timeout: 4000,
             aso_checkpoint_interval: 64,
             ssb_entries: 1024,
@@ -304,6 +302,17 @@ impl EngineKind {
     /// True for any engine that performs post-retirement speculation.
     pub fn is_speculative(self) -> bool {
         !matches!(self, EngineKind::Conventional(_))
+    }
+
+    /// Register checkpoints the engine keeps in flight: two for the
+    /// two-checkpoint selective variant and for continuous mode (which
+    /// pipelines chunk commit over them), one otherwise. ASO's intermediate
+    /// checkpoints are taken within one episode and are not counted here.
+    pub fn checkpoints(self) -> usize {
+        match self {
+            EngineKind::InvisiSelectiveTwoCkpt(_) | EngineKind::InvisiContinuous { .. } => 2,
+            _ => 1,
+        }
     }
 
     /// Label used in figure output (matches the paper's bar labels).
@@ -441,16 +450,6 @@ impl MachineConfig {
     /// A paper-baseline machine configured for the given ordering engine,
     /// with the store buffer Figure 6 pairs with that engine.
     pub fn with_engine(engine: EngineKind) -> Self {
-        let mut spec = SpeculationConfig::default();
-        match engine {
-            EngineKind::InvisiSelectiveTwoCkpt(_) | EngineKind::InvisiContinuous { .. } => {
-                spec.checkpoints = 2;
-            }
-            _ => {}
-        }
-        if let EngineKind::InvisiContinuous { commit_on_violate } = engine {
-            spec.commit_on_violate = commit_on_violate;
-        }
         MachineConfig {
             cores: 16,
             core: CoreConfig::paper_core(),
@@ -459,7 +458,7 @@ impl MachineConfig {
             dram: DramConfig::paper_dram(),
             store_buffer: engine.default_store_buffer(),
             interconnect: InterconnectConfig::paper_torus(),
-            speculation: spec,
+            speculation: SpeculationConfig::default(),
             engine,
             seed: 0x1f3c_e5ee_d00d,
             dense_kernel: false,
@@ -492,7 +491,7 @@ impl MachineConfig {
     /// # Errors
     /// Returns a [`ConfigError`] describing the first problem found (zero
     /// cores, non-power-of-two block size, core count not matching the torus,
-    /// zero-capacity structures, or an engine/checkpoint mismatch).
+    /// or zero-capacity structures).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores == 0 {
             return Err(ConfigError::new("core count must be non-zero"));
@@ -530,16 +529,6 @@ impl MachineConfig {
         if self.core.rob_size == 0 || self.core.width == 0 {
             return Err(ConfigError::new("core width and ROB size must be non-zero"));
         }
-        if self.speculation.checkpoints == 0 && self.engine.is_speculative() {
-            return Err(ConfigError::new("speculative engines need at least one checkpoint"));
-        }
-        if matches!(self.engine, EngineKind::InvisiContinuous { .. })
-            && self.speculation.checkpoints < 2
-        {
-            return Err(ConfigError::new(
-                "InvisiFence-Continuous requires two checkpoints to pipeline chunk commit",
-            ));
-        }
         Ok(())
     }
 
@@ -551,10 +540,11 @@ impl MachineConfig {
             return 0;
         }
         let blocks = self.l1.blocks();
-        let bits_per_block = 2 * self.speculation.checkpoints;
+        let checkpoints = self.engine.checkpoints();
+        let bits_per_block = 2 * checkpoints;
         let spec_bits_bytes = (blocks * bits_per_block).div_ceil(8);
         // A SPARC-style register checkpoint: 32 integer + 32 FP 8-byte registers.
-        let checkpoint_bytes = 64 * 8 * self.speculation.checkpoints;
+        let checkpoint_bytes = 64 * 8 * checkpoints;
         spec_bits_bytes + checkpoint_bytes
     }
 
@@ -660,11 +650,16 @@ mod tests {
 
     #[test]
     fn continuous_config_gets_two_checkpoints() {
+        use ConsistencyModel::*;
         let cfg =
             MachineConfig::with_engine(EngineKind::InvisiContinuous { commit_on_violate: true });
-        assert_eq!(cfg.speculation.checkpoints, 2);
-        assert!(cfg.speculation.commit_on_violate);
+        assert_eq!(cfg.engine.checkpoints(), 2);
         cfg.validate().unwrap();
+        // The engine kind alone decides the checkpoint count.
+        assert_eq!(EngineKind::InvisiContinuous { commit_on_violate: false }.checkpoints(), 2);
+        assert_eq!(EngineKind::InvisiSelectiveTwoCkpt(Tso).checkpoints(), 2);
+        assert_eq!(EngineKind::InvisiSelective(Tso).checkpoints(), 1);
+        assert_eq!(EngineKind::Aso(Sc).checkpoints(), 1);
     }
 
     /// Applies `break_it` to a paper baseline and asserts validation fails
@@ -704,24 +699,12 @@ mod tests {
 
     #[test]
     fn speculative_engines_require_checkpoints() {
-        let mut cfg = MachineConfig::with_engine(EngineKind::InvisiSelective(ConsistencyModel::Sc));
-        cfg.speculation.checkpoints = 0;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.to_string().contains("at least one checkpoint"), "{err}");
-        // Conventional engines do not need checkpoints at all.
-        let mut conventional = MachineConfig::paper_baseline();
-        conventional.speculation.checkpoints = 0;
-        conventional.validate().expect("non-speculative engines ignore checkpoints");
-    }
-
-    #[test]
-    fn continuous_requires_two_checkpoints() {
-        for commit_on_violate in [false, true] {
-            let mut cfg =
-                MachineConfig::with_engine(EngineKind::InvisiContinuous { commit_on_violate });
-            cfg.speculation.checkpoints = 1;
-            let err = cfg.validate().unwrap_err();
-            assert!(err.to_string().contains("two checkpoints"), "{err}");
+        // Every kind carries at least one checkpoint, and exactly the
+        // speculative kinds add speculative state to the machine.
+        for kind in EngineKind::all() {
+            assert!(kind.checkpoints() >= 1, "{kind:?}");
+            let bytes = MachineConfig::with_engine(kind).speculative_state_bytes();
+            assert_eq!(bytes > 0, kind.is_speculative(), "{kind:?}");
         }
     }
 
@@ -760,6 +743,12 @@ mod tests {
         assert!((512..=1536).contains(&bytes), "got {bytes} bytes");
         let conventional = MachineConfig::paper_baseline();
         assert_eq!(conventional.speculative_state_bytes(), 0);
+        // Two checkpoints double both the bits and the register state:
+        // 1024 blocks x 4 bits + 2 x 512 bytes.
+        let two =
+            MachineConfig::with_engine(EngineKind::InvisiSelectiveTwoCkpt(ConsistencyModel::Sc));
+        assert_eq!(bytes, 1024 * 2 / 8 + 512);
+        assert_eq!(two.speculative_state_bytes(), 1024 * 4 / 8 + 2 * 512);
     }
 
     #[test]

@@ -303,9 +303,7 @@ impl JsonCodec for InterconnectConfig {
 impl JsonCodec for SpeculationConfig {
     fn to_json(&self) -> Json {
         obj(vec![
-            ("checkpoints", us(self.checkpoints)),
             ("min_chunk_instructions", us(self.min_chunk_instructions)),
-            ("commit_on_violate", Json::Bool(self.commit_on_violate)),
             ("cov_timeout", uint(self.cov_timeout)),
             ("aso_checkpoint_interval", us(self.aso_checkpoint_interval)),
             ("ssb_entries", us(self.ssb_entries)),
@@ -316,9 +314,7 @@ impl JsonCodec for SpeculationConfig {
     fn from_json(doc: &Json) -> Result<Self, CodecError> {
         let f = Fields::new(doc, "SpeculationConfig")?;
         Ok(SpeculationConfig {
-            checkpoints: f.usize("checkpoints")?,
             min_chunk_instructions: f.usize("min_chunk_instructions")?,
-            commit_on_violate: f.bool("commit_on_violate")?,
             cov_timeout: f.u64("cov_timeout")?,
             aso_checkpoint_interval: f.usize("aso_checkpoint_interval")?,
             ssb_entries: f.usize("ssb_entries")?,

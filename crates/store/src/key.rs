@@ -48,7 +48,11 @@ use ifence_workloads::Workload;
 /// v7: one kernel — `MachineConfig` lost `batch_kernel`, `leap_kernel` and
 /// `machine_threads` (serialized layout change; simulated results are
 /// unchanged).
-pub const SCHEMA_VERSION: u64 = 7;
+///
+/// v8: the engine kind alone selects the engine variant —
+/// `SpeculationConfig` lost `checkpoints` and `commit_on_violate`
+/// (serialized layout change; simulated results are unchanged).
+pub const SCHEMA_VERSION: u64 = 8;
 
 /// FNV-1a over a byte string (the store's only hash; deterministic across
 /// platforms and runs, unlike `std`'s `DefaultHasher`). Re-exported from
